@@ -15,6 +15,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import charsum, fourier, randmodel, tails
 from .charsum import parse_alpha
 from .primes import primes_up_to
@@ -39,8 +41,10 @@ def _rows_to_text(rows: list[dict], fmt: str) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("LEGSUMS_THREADS", "1"))
+def _thread_count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 # --------------------------------------------------------------------------
@@ -48,7 +52,14 @@ def _default_threads() -> int:
 
 def _cmd_density(args) -> int:
     alpha = parse_alpha(args.alpha)
-    report = charsum.density_scan(alpha, args.primes, mode=args.mode, threads=args.threads)
+    threads = args.threads
+    if threads is None:
+        try:
+            threads = _thread_count(os.environ.get("LEGSUMS_THREADS", "1"))
+        except argparse.ArgumentTypeError as exc:
+            print(f"legsums: error: LEGSUMS_THREADS: {exc}", file=sys.stderr)
+            return 2
+    report = charsum.density_scan(alpha, args.primes, mode=args.mode, threads=threads)
     if args.format == "json":
         text = report.as_json()
     else:
@@ -95,33 +106,37 @@ def _cmd_fourier_check(args) -> int:
     return 0
 
 
-def _parse_rational_or_float(text: str):
-    value = parse_alpha(text)
-    return value
-
-
 def _cmd_simulate(args) -> int:
     alpha = parse_alpha(args.alpha)
     parities = ["plus", "minus"] if args.parity == "both" else [args.parity]
-    rows = []
-    estimates = {}
-    for parity in parities:
-        spec = randmodel.CoefficientSpec(parity, alpha)
-        est = randmodel.estimate_positivity(
-            spec,
-            samples=args.samples,
-            seed=args.seed,
-            truncation=args.truncation,
-            prime_cutoff=args.prime_cutoff,
-            evaluator=args.evaluator,
-        )
-        estimates[parity] = est
-        rows.append(
-            {"alpha": str(alpha), "parity": parity, "evaluator": args.evaluator,
-             "samples": est.n_samples, "strict_fraction": est.strict_fraction,
-             "nonneg_fraction": est.nonneg_fraction,
-             "ci95_strict": est.ci95_strict, "ci95_nonneg": est.ci95_nonneg}
-        )
+    if args.evaluator == "series":
+        # one call hashes the signs and builds X once for every parity
+        cols = np.column_stack([
+            randmodel.CoefficientSpec(parity, alpha).coefficients(args.truncation)
+            for parity in parities
+        ])
+        values = randmodel.sample_series_matrix(cols, args.truncation, args.samples, args.seed)
+        estimates = {
+            parity: randmodel.PositivityEstimate.from_values(values[:, j])
+            for j, parity in enumerate(parities)
+        }
+    else:
+        estimates = {
+            parity: randmodel.estimate_positivity(
+                randmodel.CoefficientSpec(parity, alpha),
+                samples=args.samples,
+                seed=args.seed,
+                prime_cutoff=args.prime_cutoff,
+            )
+            for parity in parities
+        }
+    rows = [
+        {"alpha": str(alpha), "parity": parity, "evaluator": args.evaluator,
+         "samples": est.n_samples, "strict_fraction": est.strict_fraction,
+         "nonneg_fraction": est.nonneg_fraction,
+         "ci95_strict": est.ci95_strict, "ci95_nonneg": est.ci95_nonneg}
+        for parity, est in estimates.items()
+    ]
     if len(parities) == 2:
         combined = sum(e.nonneg_fraction for e in estimates.values()) / 2
         rows.append(
@@ -164,9 +179,11 @@ def _cmd_moments(args) -> int:
     mc = randmodel.sample_series_matrix(
         coeffs[:, None], args.truncation, args.samples, args.seed
     )[:, 0]
+    kmax = max((k for k in args.k if k <= 4), default=0)
+    exact = randmodel.moment_bundle(coeffs, kmax) if kmax else {}
     rows = []
     for k in args.k:
-        direct = randmodel.moment_direct(coeffs, k, cutoff=args.cutoff)
+        direct = exact[k] if k in exact else randmodel.moment_direct(coeffs, k, cutoff=args.cutoff)
         powers = mc**k
         mc_mean = float(powers.mean())
         mc_se = float(powers.std(ddof=1) / math.sqrt(args.samples))
@@ -244,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--primes", type=int, required=True)
     p.add_argument("--mode", choices=("ge", "gt"), default="ge")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count, default=None,
+                   help="worker threads (default: $LEGSUMS_THREADS, else 1)")
     p.add_argument("--verify", type=int, default=None,
                    help="exit 1 unless the selected count equals this value")
     common(p)

@@ -51,14 +51,21 @@ _C1 = _U(0x9E3779B97F4A7C15)
 _C2 = _U(0xBF58476D1CE4E5B9)
 _C3 = _U(0x94D049BB133111EB)
 
-np.seterr(over="ignore")  # uint64 mixing relies on wraparound
+#: seeds × primes cells hashed per block; a block and its shift temporaries
+#: stay in cache, and no second array of the whole matrix's size is made
+_HASH_BLOCK = 1 << 15
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
-    z = z + _C1
-    z = (z ^ (z >> _U(30))) * _C2
-    z = (z ^ (z >> _U(27))) * _C3
-    return z ^ (z >> _U(31))
+    """The splitmix64 finaliser, in place on a uint64 array."""
+    with np.errstate(over="ignore"):  # the mixing relies on wraparound
+        z += _C1
+        z ^= z >> _U(30)
+        z *= _C2
+        z ^= z >> _U(27)
+        z *= _C3
+        z ^= z >> _U(31)
+    return z
 
 
 def prime_sign_matrix(
@@ -68,10 +75,16 @@ def prime_sign_matrix(
     negate: bool = False,
 ) -> np.ndarray:
     """int8 matrix of X_p signs, rows indexed by seed, columns by prime."""
-    hs = _splitmix64(np.asarray(seeds, dtype=np.uint64))[:, None]
-    hp = _splitmix64(np.asarray(primes, dtype=np.uint64))[None, :]
-    h = _splitmix64(hs ^ hp)
-    signs = np.where((h >> _U(63)).astype(bool), np.int8(-1), np.int8(1))
+    hs = _splitmix64(np.array(seeds, dtype=np.uint64))
+    hp = _splitmix64(np.array(primes, dtype=np.uint64))
+    signs = np.empty((len(hs), len(hp)), dtype=np.int8)
+    rows = max(1, _HASH_BLOCK // max(len(hp), 1))
+    for i in range(0, len(hs), rows):
+        h = _splitmix64(np.bitwise_xor.outer(hs[i : i + rows], hp))
+        h >>= _U(63)
+        signs[i : i + rows] = h  # the sign bit, 0 or 1
+    signs *= np.int8(-2)
+    signs += np.int8(1)
     if force:
         plist = np.asarray(primes)
         for p, s in force.items():
@@ -122,16 +135,9 @@ class MultiplicativeSample:
 
     def signs_up_to(self, N: int) -> np.ndarray:
         """int8 array s with s[n] = X_n for 0 <= n <= N (s[0] unused, = 1)."""
-        primes = primes_up_to(N)
-        cols = self.signs_for_primes(primes)
-        out = np.ones(N + 1, dtype=np.int8)
-        for p, s in zip(primes.tolist(), cols.tolist()):
-            if s == -1:
-                q = p
-                while q <= N:
-                    out[q::q] = -out[q::q]
-                    q *= p
-        return out
+        layout = _kernel_layout(N)
+        x = _kernel_signs(self.signs_for_primes(layout.primes)[None, :], layout)
+        return x[layout.row_of, 0]
 
 
 def sample_multiplicative(seed: int) -> MultiplicativeSample:
@@ -398,6 +404,77 @@ def euler_eval(
 # --------------------------------------------------------------------------
 # batched Monte Carlo
 
+@dataclass(frozen=True)
+class _KernelLayout:
+    """The squarefree d <= N, one row each, ordered by omega(d) (the number
+    of prime factors) and then by d.
+
+    Row 0 is d = 1 and rows 1 .. len(primes) are the primes.  Each later row
+    d has the rows of spf(d), its smallest prime factor, and of d / spf(d),
+    which has one prime factor fewer and so sits in the level before.
+    """
+
+    primes: np.ndarray
+    spf_row: np.ndarray
+    rest_row: np.ndarray
+    levels: tuple[tuple[int, int], ...]  # row ranges of omega = 2, 3, ...
+    row_of: np.ndarray  # row_of[n] = row of core(n), for 0 <= n <= N
+
+
+def _kernel_layout(N: int) -> _KernelLayout:
+    n = np.arange(N + 1)
+    core = squarefree_core(N)
+    kernels = np.flatnonzero(core == n)[1:]
+    spf = n.copy()
+    for p in primes_up_to(math.isqrt(N))[::-1].tolist():
+        spf[p * p :: p] = p
+    rest = kernels // spf[kernels]
+    position = np.zeros(N + 1, dtype=np.int64)
+    position[kernels] = np.arange(len(kernels))
+    omega = np.zeros(len(kernels), dtype=np.int64)
+    while True:  # omega(d) = omega(d / spf(d)) + 1; one pass per level
+        deeper = omega[position[rest]] + (kernels > 1)
+        if np.array_equal(deeper, omega):
+            break
+        omega = deeper
+    order = np.argsort(omega, kind="stable")
+    row = np.zeros(N + 1, dtype=np.int64)
+    row[kernels[order]] = np.arange(len(kernels))
+    d = kernels[order]
+    # first row of each level 0 .. top + 1, with a level 1 even when N < 2
+    top = max(int(omega.max()), 1)
+    bounds = np.searchsorted(omega[order], np.arange(top + 2)).tolist()
+    return _KernelLayout(
+        primes=d[bounds[1] : bounds[2]],
+        spf_row=row[spf[d]],
+        rest_row=row[d // spf[d]],
+        levels=tuple(zip(bounds[2:-1], bounds[3:])),
+        row_of=row[core],
+    )
+
+
+def _kernel_signs(signs: np.ndarray, layout: _KernelLayout) -> np.ndarray:
+    """X_d on the squarefree d <= N from a (samples × primes) sign matrix.
+
+    Kernel-major int8: x[r, s] = X_d for the d of layout row r in sample s.
+    Level by level in omega(d), x[d] = x[spf(d)] * x[d / spf(d)], so each
+    level is one vectorised gather.
+    """
+    x = np.empty((len(layout.spf_row), signs.shape[0]), dtype=np.int8)
+    x[0] = 1
+    x[1 : 1 + signs.shape[1]] = signs.T
+    for start, stop in layout.levels:
+        np.multiply(
+            x[layout.spf_row[start:stop]], x[layout.rest_row[start:stop]], out=x[start:stop]
+        )
+    return x
+
+
+#: kernel rows per float64 block of the series product; a block holds
+#: _PRODUCT_ROWS × batch doubles whatever the truncation
+_PRODUCT_ROWS = 1024
+
+
 def sample_series_matrix(
     coeff_columns: np.ndarray,
     N: int,
@@ -410,25 +487,27 @@ def sample_series_matrix(
 
     coeff_columns has shape (N, C): column j holds the coefficients a_1..a_N
     of the j-th series.  Sample i uses seed seed0 + i.  Returns (samples, C).
+
+    X_n = X_core(n), so the weights a_n / n are folded onto squarefree
+    kernels and X is built on kernels only.
     """
     coeff_columns = np.atleast_2d(np.asarray(coeff_columns, dtype=np.float64))
     if coeff_columns.shape[0] != N:
         coeff_columns = coeff_columns.T
+    layout = _kernel_layout(N)
     n = np.arange(1, N + 1, dtype=np.float64)
-    weighted = coeff_columns / n[:, None]
-    primes = primes_up_to(N)
-    out = np.empty((samples, weighted.shape[1]))
+    weights = np.column_stack([
+        np.bincount(layout.row_of[1:], weights=col / n, minlength=len(layout.spf_row))
+        for col in coeff_columns.T
+    ])
+    out = np.empty((samples, weights.shape[1]))
     for start in range(0, samples, batch):
         seeds = np.arange(seed0 + start, seed0 + min(start + batch, samples))
-        signs = prime_sign_matrix(seeds, primes, force=force)
-        x = np.ones((len(seeds), N + 1), dtype=np.int8)
-        for j, p in enumerate(primes.tolist()):
-            col = signs[:, j : j + 1]
-            q = p
-            while q <= N:
-                x[:, q::q] *= col
-                q *= p
-        out[start : start + len(seeds)] = x[:, 1:].astype(np.float64) @ weighted
+        x = _kernel_signs(prime_sign_matrix(seeds, layout.primes, force=force), layout)
+        acc = np.zeros((weights.shape[1], len(seeds)))
+        for r in range(0, len(x), _PRODUCT_ROWS):
+            acc += weights[r : r + _PRODUCT_ROWS].T @ x[r : r + _PRODUCT_ROWS].astype(np.float64)
+        out[start : start + len(seeds)] = acc.T
     return out
 
 
@@ -592,13 +671,11 @@ def xi_statistics(prime_cutoff: int = 1_000_000) -> XiStatistics:
 def squarefree_core(N: int) -> np.ndarray:
     """core[n] = largest squarefree divisor d of n with n/d a square."""
     core = np.arange(N + 1, dtype=np.int64)
-    q = 2
-    while q * q <= N:
-        sq = q * q
-        for m in range(sq, N + 1, sq):
-            while core[m] % sq == 0:
-                core[m] //= sq
-        q += 1
+    for p in primes_up_to(math.isqrt(N)).tolist():
+        q = p * p
+        while q <= N:  # n with p^(2j) | n is divided by p^2 once per j
+            core[q::q] //= p * p
+            q *= p * p
     return core
 
 
@@ -622,58 +699,69 @@ def moment_direct(coeffs: np.ndarray, k: int, cutoff: int | None = None) -> floa
     k in {5, 6} falls back to enumerating factorizations of n^2 for
     n <= cutoff.  Larger k is refused.
     """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > 6:
         raise ValueError(f"moment order {k} too large (combinatorial growth)")
-    N = len(coeffs)
-    if k == 1:
-        j = np.arange(1, math.isqrt(N) + 1)
-        return float(np.sum(coeffs[j * j - 1] / (j * j)))
-    support, weights, w_full = _kernel_weights(coeffs)
-    if k == 2:
-        return float(np.sum(weights**2))
-    if k in (3, 4):
-        keys, vals = _xor_convolution(support, weights)
-        if k == 3:
-            sel = keys <= N
-            return float(np.sum(vals[sel] * w_full[keys[sel]]))
-        return float(np.sum(vals**2))
+    if k <= 4:
+        return moment_bundle(coeffs, k)[k]
     if cutoff is None:
         raise ValueError(f"k={k} needs an explicit cutoff")
-    return _tau_moment(coeffs, k, cutoff)
+    return _tau_moment(np.asarray(coeffs, dtype=np.float64), k, cutoff)
 
 
-def moment_bundle(coeffs: np.ndarray) -> dict[int, float]:
-    """Exact moments for k = 1..4 sharing one kernel convolution."""
+def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
+    """Exact moments for k = 1..kmax (kmax <= 4) sharing one kernel
+    convolution.  The third moment needs only the products whose key is at
+    most N, so with kmax = 3 the convolution keeps just those."""
+    if not 1 <= kmax <= 4:
+        raise ValueError(f"kmax must be in 1..4, got {kmax}")
     coeffs = np.asarray(coeffs, dtype=np.float64)
     N = len(coeffs)
     j = np.arange(1, math.isqrt(N) + 1)
-    m1 = float(np.sum(coeffs[j * j - 1] / (j * j)))
-    support, weights, w_full = _kernel_weights(coeffs)
-    keys, vals = _xor_convolution(support, weights)
-    sel = keys <= N
-    return {
-        1: m1,
-        2: float(np.sum(weights**2)),
-        3: float(np.sum(vals[sel] * w_full[keys[sel]])),
-        4: float(np.sum(vals**2)),
-    }
+    out = {1: float(np.sum(coeffs[j * j - 1] / (j * j)))}
+    if kmax >= 2:
+        support, weights, w_full = _kernel_weights(coeffs)
+        out[2] = float(np.sum(weights**2))
+    if kmax >= 3:
+        keys, vals = _xor_convolution(support, weights, limit=N if kmax == 3 else None)
+        sel = keys <= N
+        out[3] = float(np.sum(vals[sel] * w_full[keys[sel]]))
+    if kmax == 4:
+        out[4] = float(np.sum(vals**2))
+    return out
 
 
-def _xor_convolution(support: np.ndarray, weights: np.ndarray, chunk: int = 512):
-    """All pairwise xor-products u*v/gcd^2 with aggregated weight products."""
-    keys_parts, vals_parts = [], []
+def _xor_convolution(
+    support: np.ndarray, weights: np.ndarray, limit: int | None = None, chunk: int = 512
+):
+    """All pairwise xor-products u*v/gcd^2 with aggregated weight products.
+
+    The kernels are distinct and squarefree, so u*v/gcd^2 = 1 only for
+    u = v: the diagonal is the key 1 with weight sum w^2, and each pair
+    u < v is enumerated once with weight 2 w_u w_v.  Keys above limit are
+    dropped before aggregating.
+    """
+    keys_parts = [np.ones(1, dtype=np.int64)]
+    vals_parts = [np.array([np.dot(weights, weights)])]
     for i in range(0, len(support), chunk):
-        u = support[i : i + chunk]
-        g = np.gcd.outer(u, support)
-        keys_parts.append(((u[:, None] // g) * (support[None, :] // g)).ravel())
-        vals_parts.append(np.outer(weights[i : i + chunk], weights).ravel())
-    keys = np.concatenate(keys_parts)
-    vals = np.concatenate(vals_parts)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return uniq, np.bincount(inverse, weights=vals)
+        u, v = support[i : i + chunk], support[i + 1 :]
+        g = np.gcd.outer(u, v)
+        keys = (u[:, None] // g) * (v[None, :] // g)
+        # row a is support[i + a] and column b is support[i + 1 + b]
+        keep = np.arange(len(v))[None, :] >= np.arange(len(u))[:, None]
+        if limit is not None:
+            keep &= keys <= limit
+        keys_parts.append(keys[keep])
+        vals_parts.append(2 * np.outer(weights[i : i + chunk], weights[i + 1 :])[keep])
+    # the parts and the permutation are freed before the next full-size copy
+    keys, vals = np.concatenate(keys_parts), np.concatenate(vals_parts)
+    del keys_parts, vals_parts
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(vals, starts)
 
 
 def _tau_moment(coeffs: np.ndarray, k: int, cutoff: int) -> float:

@@ -101,6 +101,49 @@ def test_simulate_seed_reproducible(capsys):
     assert a == b
 
 
+def test_simulate_series_both_parities_match_single_runs(capsys):
+    argv = ["simulate", "--alpha", "1/5", "--evaluator", "series", "--samples", "300",
+            "--truncation", "3000", "--seed", "2", "--format", "json"]
+    _, both = run(capsys, *argv)
+    rows = json.loads(both)
+    for parity, row in zip(("plus", "minus"), rows):
+        _, single = run(capsys, *argv, "--parity", parity)
+        assert json.loads(single) == [row]
+
+
+def test_moments_direct_matches_moment_direct(capsys):
+    from fractions import Fraction
+
+    from legsums import randmodel
+
+    code, out = run(capsys, "moments", "--alpha", "1/4", "--parity", "minus",
+                    "--k", "2", "3", "4", "5", "--truncation", "300",
+                    "--samples", "500", "--cutoff", "40", "--format", "json")
+    assert code == 0
+    c = randmodel.CoefficientSpec("minus", Fraction(1, 4)).coefficients(300)
+    for row in json.loads(out):
+        expected = randmodel.moment_direct(c, row["k"], cutoff=40)
+        assert row["direct"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+def test_bad_threads_env_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("LEGSUMS_THREADS", value)
+    code = main(["density", "--alpha", "1/3", "--primes", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "LEGSUMS_THREADS" in captured.err
+
+
+def test_bad_threads_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--alpha", "1/3", "--primes", "10", "--threads", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_decompose_table(capsys):
     code, out = run(capsys, "decompose", "--alpha", "1/4", "--parity", "minus")
     assert code == 0

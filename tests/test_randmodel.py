@@ -221,6 +221,68 @@ def test_sample_series_matrix_batch_invariance():
     assert np.allclose(a, b, atol=1e-12)  # batching only reorders float ops
 
 
+def test_sample_series_matrix_matches_trial_division():
+    N, seeds, force = 600, 5, {2: -1, 3: 1}
+    specs = [CoefficientSpec("plus", Fraction(1, 5)), CoefficientSpec("minus", Fraction(1, 3))]
+    cols = np.column_stack([s.coefficients(N) for s in specs])
+    vals = sample_series_matrix(cols, N, seeds, seed0=4, force=force)
+    for i in range(seeds):
+        sample = MultiplicativeSample(seed=4 + i, forced=tuple(force.items()))
+        x = [sample.x_of(n) for n in range(1, N + 1)]
+        for j in range(len(specs)):
+            exact = math.fsum(cols[n - 1, j] * x[n - 1] / n for n in range(1, N + 1))
+            assert vals[i, j] == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_sample_series_matrix_memory_does_not_scale_as_samples_times_n():
+    import tracemalloc
+
+    N, samples = 2 * 10**5, 200
+    c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(N)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample_series_matrix(c[:, None], N, samples, seed0=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # a samples × N float64 copy of X alone would take samples * N * 8 bytes
+    assert peak < samples * N * 8 / 2
+
+
+def _splitmix64(z: int) -> int:
+    mask = (1 << 64) - 1
+    z = (z + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_prime_sign_matrix_matches_pure_python_splitmix64():
+    seeds = [0, 1, 2, 17, 999, 2**31 + 5, 2**63 - 1]
+    primes = first_primes(300)
+    signs = rm.prime_sign_matrix(np.array(seeds, dtype=np.uint64), primes)
+    assert signs.dtype == np.int8
+    for i, seed in enumerate(seeds):
+        for j, p in enumerate(primes.tolist()):
+            h = _splitmix64(_splitmix64(seed) ^ _splitmix64(p))
+            assert signs[i, j] == (-1 if h >> 63 else 1), (seed, p)
+
+
+def test_import_leaves_numpy_error_state_alone():
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import numpy as np; before = np.geterr(); import legsums; "
+        "assert np.geterr() == before, (before, np.geterr())"
+    )
+    src_dir = os.path.dirname(os.path.dirname(rm.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def test_sample_series_matrix_matches_series_eval():
     c = CoefficientSpec("plus", Fraction(1, 5)).coefficients(300)
     vals = sample_series_matrix(c[:, None], 300, 5, seed0=9)[:, 0]
@@ -343,6 +405,21 @@ def test_moment_k3_k4_brute_force():
     r = np.sqrt(prod4).round().astype(np.int64)
     sq4 = r * r == prod4
     assert moment_direct(c, 4) == pytest.approx(float(w4[sq4].sum()), abs=1e-9)
+
+
+def test_moment_k3_key_at_squarefree_truncation():
+    # N = 30 is squarefree, so the products of two kernels that land exactly
+    # on key N (e.g. 6 * 5) carry weight a_30 / 30 != 0
+    N = 30
+    c = CoefficientSpec("minus", Fraction(1, 4)).coefficients(N)
+    w = c / np.arange(1, N + 1)
+    total = 0.0
+    for a, b, d in itertools.product(range(1, N + 1), repeat=3):
+        r = math.isqrt(a * b * d)
+        if r * r == a * b * d:
+            total += w[a - 1] * w[b - 1] * w[d - 1]
+    assert moment_direct(c, 3) == pytest.approx(total, rel=1e-12)
+    assert rm.moment_bundle(c)[3] == pytest.approx(total, rel=1e-12)
 
 
 def test_moment_k5_exact_small():
