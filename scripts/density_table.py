@@ -2,13 +2,14 @@
 """Reproduce the nonnegative-partial-sum density table.
 
 Scans the five reference alphas over the first 10^3 and 10^4 primes
-(optionally 10^5 with --full) and prints counts with the mod-4 split.
+(optionally 10^5 with --full) in one sweep and prints counts with the mod-4
+split.
 """
 
 import argparse
 from fractions import Fraction
 
-from legsums.charsum import density_scan
+from legsums.charsum import density_sweep
 
 ALPHAS = [
     ("2/5", Fraction(2, 5)),
@@ -29,9 +30,9 @@ def main() -> None:
     sizes = [1000, 10000] + ([100000] if args.full else [])
     print(f"{'alpha':>8} {'primes':>7} {'nonneg':>7} {'strict':>7} "
           f"{'1mod4':>6} {'3mod4':>6}")
-    for label, alpha in ALPHAS:
-        for n in sizes:
-            r = density_scan(alpha, n, threads=args.threads)
+    table = density_sweep([alpha for _, alpha in ALPHAS], sizes, threads=args.threads)
+    for (label, _), row in zip(ALPHAS, table):
+        for n, r in zip(sizes, row):
             print(f"{label:>8} {n:>7} {r.nonneg_count:>7} "
                   f"{r.strict_pos_count:>7} {r.nonneg_1mod4:>6} "
                   f"{r.nonneg_3mod4:>6}")

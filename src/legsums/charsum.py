@@ -1,9 +1,10 @@
 """Exact partial sums of Legendre symbols and positivity density scans.
 
 The central quantity is the partial sum of (n/p) over 1 <= n <= floor(alpha*p).
-For rational alpha the cutoff floor(alpha*p) is computed in exact integer
-arithmetic; for irrational alpha a float floor is used and near-integer
-boundary hits are logged.
+The cutoff floor(alpha*p) is computed in exact integer arithmetic for every
+alpha, floats included: a float is a dyadic rational.  Every count comes from
+one primitive, the quadratic residues k^2 mod p for 1 <= k <= (p-1)/2, reduced
+from a table of squares that a scan shares across its primes and alphas.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,16 +29,11 @@ __all__ = [
     "build_qr_table",
     "legendre_sum",
     "density_scan",
+    "density_sweep",
     "class_number_h",
     "dirichlet_check",
     "expectation_scan",
 ]
-
-log = logging.getLogger(__name__)
-
-#: |alpha*p - nearest integer| below which a float cutoff is considered a
-#: boundary hit and logged.
-BOUNDARY_EPS = 1e-9
 
 Alpha = Fraction | float | int
 
@@ -56,19 +50,52 @@ def _check_alpha(alpha: Alpha) -> None:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
 
 
-def alpha_cutoff(alpha: Alpha, p: int) -> int:
-    """floor(alpha * p), exactly for rational alpha.
+def alpha_cutoff(alpha: Alpha, p):
+    """floor(alpha * p) in exact integer arithmetic.
 
-    Float alphas within BOUNDARY_EPS of an integer multiple are logged: the
-    count convention at such a boundary is not reliable in floating point.
+    A float alpha is taken as the dyadic rational it stores, so the result
+    never depends on how alpha*p would round.  p is an int, or an integer
+    array giving an int64 array of cutoffs.
     """
     _check_alpha(alpha)
-    if isinstance(alpha, Fraction):
-        return (alpha.numerator * p) // alpha.denominator
-    x = alpha * p
-    if abs(x - round(x)) < BOUNDARY_EPS:
-        log.warning("boundary hit: alpha*p = %r for alpha=%r, p=%d", x, alpha, p)
-    return math.floor(x)
+    a = Fraction(alpha)
+    num, den = a.numerator, a.denominator
+    if np.ndim(p) == 0:
+        return (num * int(p)) // den
+    return np.array([(num * q) // den for q in np.asarray(p).tolist()], dtype=np.int64)
+
+
+# --------------------------------------------------------------------------
+# the residue primitive
+
+def _squares(h: int) -> np.ndarray:
+    """k^2 for 1 <= k <= h, in the narrowest unsigned dtype that holds h^2
+    (uint32 up to h = 65535, that is p <= 131071; uint64 above)."""
+    dtype = np.uint32 if h * h <= np.iinfo(np.uint32).max else np.uint64
+    k = np.arange(1, h + 1, dtype=dtype)
+    return np.multiply(k, k, out=k)
+
+
+def _reduce_squares(squares: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """k^2 mod p for 1 <= k <= (p-1)/2, written into out[:(p-1)/2].
+
+    For an odd prime p these are the quadratic residues, each exactly once.
+    squares comes from _squares(h) with h >= (p-1)/2; out is a buffer of the
+    same dtype, distinct from squares.  The remainder is taken as
+    k^2 - (k^2 // p) * p: numpy divides an array by a scalar through a
+    precomputed multiplier, which is several times faster than np.remainder.
+    """
+    h = (p - 1) // 2
+    sq, r = squares[:h], out[:h]
+    np.floor_divide(sq, p, out=r)
+    np.multiply(r, p, out=r)
+    return np.subtract(sq, r, out=r)
+
+
+def _quadratic_residues(p: int) -> np.ndarray:
+    """The (p-1)/2 quadratic residues mod an odd prime p, unsorted."""
+    squares = _squares((p - 1) // 2)
+    return _reduce_squares(squares, p, out=np.empty_like(squares))
 
 
 @dataclass(frozen=True)
@@ -88,12 +115,11 @@ class QRTable:
 
 
 def build_qr_table(p: int) -> QRTable:
-    """Residue indicator built from k^2 mod p, prefix-summed; O(p)."""
+    """Residue indicator prefix-summed; O(p)."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"build_qr_table needs an odd prime, got {p}")
-    k = np.arange(1, (p + 1) // 2, dtype=np.int64)
     indicator = np.zeros(p, dtype=np.int64)
-    indicator[(k * k) % p] = 1
+    indicator[_quadratic_residues(p)] = 1
     prefix = np.cumsum(indicator)
     prefix.setflags(write=False)
     return QRTable(p=p, prefix=prefix)
@@ -115,7 +141,27 @@ def legendre_sum(alpha: Alpha, p: int, table: QRTable | None = None) -> int:
     return table.partial_sum(alpha_cutoff(alpha, p))
 
 
-@dataclass
+# --------------------------------------------------------------------------
+# density scans
+
+#: DensityReport's counters, in the order of DensityReport.counts.
+COUNTERS = (
+    "prime_count",
+    "nonneg_count",
+    "strict_pos_count",
+    "zero_count",
+    "nonneg_1mod4",
+    "nonneg_3mod4",
+    "strict_pos_1mod4",
+    "strict_pos_3mod4",
+)
+
+
+def _counter(i: int) -> property:
+    return property(lambda self: int(self.counts[i]), doc=f"counts[{i}]")
+
+
+@dataclass(eq=False)
 class DensityReport:
     """Counts of primes with nonnegative / strictly positive partial sums.
 
@@ -123,36 +169,29 @@ class DensityReport:
     partial sum is 0 by convention and therefore lands in zero_count; p = 2
     belongs to neither mod-4 class, so
     nonneg_1mod4 + nonneg_3mod4 + (1 if p=2 scanned) == nonneg_count.
+    The counters are one int64 array, counts, in the order of COUNTERS.
     """
 
     alpha: Alpha
     mode: str
-    prime_count: int = 0
-    nonneg_count: int = 0
-    strict_pos_count: int = 0
-    zero_count: int = 0
-    nonneg_1mod4: int = 0
-    nonneg_3mod4: int = 0
-    strict_pos_1mod4: int = 0
-    strict_pos_3mod4: int = 0
+    counts: np.ndarray = field(default_factory=lambda: np.zeros(len(COUNTERS), dtype=np.int64))
     includes_two: bool = False
 
-    def merge(self, other: "DensityReport") -> "DensityReport":
-        if (self.alpha, self.mode) != (other.alpha, other.mode):
-            raise ValueError("cannot merge reports for different scans")
-        for name in (
-            "prime_count",
-            "nonneg_count",
-            "strict_pos_count",
-            "zero_count",
-            "nonneg_1mod4",
-            "nonneg_3mod4",
-            "strict_pos_1mod4",
-            "strict_pos_3mod4",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.includes_two = self.includes_two or other.includes_two
-        return self
+    prime_count = _counter(0)
+    nonneg_count = _counter(1)
+    strict_pos_count = _counter(2)
+    zero_count = _counter(3)
+    nonneg_1mod4 = _counter(4)
+    nonneg_3mod4 = _counter(5)
+    strict_pos_1mod4 = _counter(6)
+    strict_pos_3mod4 = _counter(7)
+
+    def __eq__(self, other):
+        if not isinstance(other, DensityReport):
+            return NotImplemented
+        return ((self.alpha, self.mode, self.includes_two)
+                == (other.alpha, other.mode, other.includes_two)
+                and np.array_equal(self.counts, other.counts))
 
     @property
     def count(self) -> int:
@@ -183,34 +222,88 @@ class DensityReport:
         return json.dumps(self.as_dict())
 
 
-def _scan_chunk(alpha: Alpha, primes: np.ndarray, mode: str) -> DensityReport:
-    report = DensityReport(alpha=alpha, mode=mode)
-    for p in primes.tolist():
-        if p == 2:
-            value = 0
-            report.includes_two = True
-        else:
-            k = np.arange(1, (p + 1) // 2, dtype=np.int64)
-            residues = (k * k) % p
-            residues.sort()
-            m = alpha_cutoff(alpha, p)
-            value = 2 * int(np.searchsorted(residues, m, side="right")) - m
-        report.prime_count += 1
-        if value >= 0:
-            report.nonneg_count += 1
-            if p % 4 == 1:
-                report.nonneg_1mod4 += 1
-            elif p % 4 == 3:
-                report.nonneg_3mod4 += 1
-        if value > 0:
-            report.strict_pos_count += 1
-            if p % 4 == 1:
-                report.strict_pos_1mod4 += 1
-            elif p % 4 == 3:
-                report.strict_pos_3mod4 += 1
-        if value == 0:
-            report.zero_count += 1
-    return report
+def _scan_chunk(primes: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+    """L(alpha_j, p_i) for the chunk's primes: one row per row of cutoffs.
+
+    One squares table serves the chunk, sized for its largest prime; the
+    residue and mask buffers belong to the calling thread.
+    """
+    squares = _squares((int(primes[-1]) - 1) // 2)
+    residues = np.empty_like(squares)
+    mask = np.empty(len(squares), dtype=bool)
+    sums = []
+    for p, ms in zip(primes.tolist(), cutoffs.T.tolist()):
+        if p == 2:  # L(alpha, 2) = 0 by convention (see DensityReport)
+            sums.append([0] * len(ms))
+            continue
+        r = _reduce_squares(squares, p, out=residues)
+        below = mask[: len(r)]
+        sums.append([2 * np.count_nonzero(np.less_equal(r, m, out=below)) - m for m in ms])
+    return np.array(sums, dtype=np.int64).T
+
+
+def _tally(sums: np.ndarray, mod4: np.ndarray) -> np.ndarray:
+    """The COUNTERS of one row of partial sums, with mod4 = primes % 4."""
+    nonneg, strict = sums >= 0, sums > 0
+    one, three = mod4 == 1, mod4 == 3
+    return np.array([
+        len(sums),
+        np.count_nonzero(nonneg),
+        np.count_nonzero(strict),
+        np.count_nonzero(sums == 0),
+        np.count_nonzero(nonneg & one),
+        np.count_nonzero(nonneg & three),
+        np.count_nonzero(strict & one),
+        np.count_nonzero(strict & three),
+    ], dtype=np.int64)
+
+
+def density_sweep(
+    alphas,
+    sizes,
+    mode: str = "ge",
+    threads: int = 1,
+) -> list[list[DensityReport]]:
+    """Density reports for every alpha and every prime count, in one pass.
+
+    The first max(sizes) primes are reduced once each; every alpha is
+    counted from the same residues, and each size is read off as a prefix
+    of the per-prime sums.  Returns reports[i][j] for alphas[i], sizes[j].
+    The counts are integer-exact and independent of the thread count.
+    """
+    alphas, sizes = list(alphas), list(sizes)
+    for alpha in alphas:
+        _check_alpha(alpha)
+    if not alphas or not sizes:
+        raise ValueError("need at least one alpha and one prime count")
+    if min(sizes) < 1:
+        raise ValueError(f"prime counts must be >= 1, got {sizes}")
+    if mode not in ("ge", "gt"):
+        raise ValueError(f"mode must be 'ge' or 'gt', got {mode!r}")
+    primes = first_primes(max(sizes))
+    cutoffs = np.stack([alpha_cutoff(alpha, primes) for alpha in alphas])
+    sums = np.empty(cutoffs.shape, dtype=np.int64)
+    # work grows with p: many small chunks keep the threads evenly loaded
+    chunks = 1 if threads <= 1 else 4 * threads
+    bounds = np.linspace(0, len(primes), chunks + 1).astype(int).tolist()
+    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+    def scan(span):
+        a, b = span
+        sums[:, a:b] = _scan_chunk(primes[a:b], cutoffs[:, a:b])
+
+    if threads <= 1:
+        scan(spans[0])
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(scan, spans))
+    mod4 = primes % 4
+    return [
+        [DensityReport(alpha=alpha, mode=mode, counts=_tally(row[:n], mod4[:n]),
+                       includes_two=True)
+         for n in sizes]
+        for alpha, row in zip(alphas, sums)
+    ]
 
 
 def density_scan(
@@ -221,23 +314,10 @@ def density_scan(
 ) -> DensityReport:
     """Scan the first num_primes primes, counting signs of the partial sums.
 
-    The result is a sum of order-insensitive per-prime counters, so it is
-    independent of thread count and scheduling.
+    A one-alpha, one-size density_sweep; the counts are independent of the
+    thread count.
     """
-    _check_alpha(alpha)
-    if num_primes < 1:
-        raise ValueError("num_primes must be >= 1")
-    if mode not in ("ge", "gt"):
-        raise ValueError(f"mode must be 'ge' or 'gt', got {mode!r}")
-    primes = first_primes(num_primes)
-    if threads <= 1:
-        return _scan_chunk(alpha, primes, mode)
-    chunks = np.array_split(primes, threads * 4)
-    report = DensityReport(alpha=alpha, mode=mode)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(lambda c: _scan_chunk(alpha, c, mode), chunks):
-            report.merge(part)
-    return report
+    return density_sweep([alpha], [num_primes], mode=mode, threads=threads)[0][0]
 
 
 def class_number_h(p: int) -> int:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import Alpha, legendre_sum
+from .charsum import Alpha, _quadratic_residues
 from .primes import is_prime
 
 __all__ = [
@@ -35,9 +35,8 @@ def fourier_coeff(alpha: float, m: int) -> complex:
 
 def _legendre_values(p: int) -> np.ndarray:
     """(n/p) for n = 0..p-1 as an int8 array."""
-    k = np.arange(1, (p + 1) // 2, dtype=np.int64)
     chi = -np.ones(p, dtype=np.int8)
-    chi[(k * k) % p] = 1
+    chi[_quadratic_residues(p)] = 1
     chi[0] = 0
     return chi
 
@@ -104,7 +103,3 @@ def twisted_sum_check(alpha: Alpha, p: int, N: int) -> float:
     partial = np.cumsum(np.exp(2j * math.pi * a * n) * chi)
     return float(np.max(np.abs(partial))) / (math.sqrt(p) * math.log(p))
 
-
-def fourier_error(alpha: Alpha, p: int, M: int) -> float:
-    """|fourier_partial - exact| for one (alpha, p, M)."""
-    return abs(fourier_partial(alpha, p, M) - legendre_sum(alpha, p))

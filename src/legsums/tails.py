@@ -100,7 +100,7 @@ class UOptimum:
 
 
 def optimize_u(sigma2: float, D: float) -> UOptimum:
-    """Minimize u -> exp(-ln^2(u)/(8 sigma2)) + D/u over (0, 1).
+    """Minimize u -> negativity_bound(sigma2, D, u) over (0, 1).
 
     Golden-section in ln(u) after a grid pre-scan (the objective is unimodal
     in ln(u) in the useful regime).  D = 0 gives the limit optimum (0, 0);
@@ -114,7 +114,7 @@ def optimize_u(sigma2: float, D: float) -> UOptimum:
         return UOptimum(u=0.0, value=0.0, degenerate=True)
 
     def f(lu: float) -> float:
-        return math.exp(-lu * lu / (8 * sigma2)) + D * math.exp(-lu)
+        return negativity_bound(sigma2, D, math.exp(lu))
 
     lo, hi = math.log(1e-9), math.log(1 - 1e-6)
     grid = np.linspace(lo, hi, 400)
@@ -150,7 +150,7 @@ def sigma2_one_third(prime_cutoff: int = 1_000_000) -> tuple[float, float, float
     The summand equals artanh(1/p)^2 <= 1/(p^2 - 1), and
     sum_{n > P} 1/(n^2 - 1) telescopes to (1/P + 1/(P+1))/2, which gives a
     rigorous tail.  (Comparing the summand against 1/n^2 alone fails, since
-    artanh(1/n) > 1/n.)  Asserts total < 0.395.
+    artanh(1/n) > 1/n.)  Raises ArithmeticError unless total < SIGMA2.
     """
     if prime_cutoff < 100:
         raise ValueError("prime_cutoff must be >= 100")
@@ -159,7 +159,8 @@ def sigma2_one_third(prime_cutoff: int = 1_000_000) -> tuple[float, float, float
     partial = float(np.sum(0.25 * np.log((p - 1) / (p + 1)) ** 2))
     tail = 0.5 * (1.0 / prime_cutoff + 1.0 / (prime_cutoff + 1))
     total = partial + tail
-    assert total < SIGMA2, f"variance bound violated: {total} >= {SIGMA2}"
+    if not total < SIGMA2:
+        raise ArithmeticError(f"variance bound violated: {total} >= {SIGMA2}")
     return partial, tail, total
 
 
@@ -379,7 +380,8 @@ def certify_neighborhood(alpha: float, constants: str = "printed") -> Certificat
 
     delta = |alpha - 1/3|; squared-distance bounds D∓ = k∓ * delta^(2/3)
     with prefactors (94, 282) as printed or (~95.2, ~285.7) recomputed from
-    3/pi^2 resp. 9/pi^2 times 313.3; thresholds u∓ optimized; the final
+    3/pi^2 resp. 9/pi^2 times 313.3; thresholds u∓ optimized;
+    P_neg∓ = negativity_bound(SIGMA2, D∓, u∓), capped at 1; the final
     bound is c_lower = 1 - (P_neg_minus + P_neg_plus)/2.  certified means
     delta <= 2e-6 and c_lower >= 0.534.
     """
@@ -400,8 +402,8 @@ def certify_neighborhood(alpha: float, constants: str = "printed") -> Certificat
         )
     opt_minus = optimize_u(SIGMA2, d_minus)
     opt_plus = optimize_u(SIGMA2, d_plus)
-    p_minus = min(opt_minus.value, 1.0)
-    p_plus = min(opt_plus.value, 1.0)
+    p_minus = min(negativity_bound(SIGMA2, d_minus, opt_minus.u), 1.0)
+    p_plus = min(negativity_bound(SIGMA2, d_plus, opt_plus.u), 1.0)
     c_lower = 1 - (p_minus + p_plus) / 2
     return CertificationReport(
         alpha=alpha,

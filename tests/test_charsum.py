@@ -1,14 +1,19 @@
+import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from legsums import charsum
 from legsums.charsum import (
     alpha_cutoff,
     build_qr_table,
     class_number_h,
     density_scan,
+    density_sweep,
     dirichlet_check,
     expectation_scan,
     legendre_sum,
@@ -32,6 +37,23 @@ def test_alpha_cutoff_exact_rational():
     assert alpha_cutoff(Fraction(2, 5), 5) == 2
     assert alpha_cutoff(Fraction(1, 3), 3) == 1
     assert alpha_cutoff(Fraction(2, 5), 7) == 2
+
+
+def test_alpha_cutoff_exact_for_floats():
+    # nextafter(3/13, 0) times 13 rounds up to 3.0 in floating point, but the
+    # float is a dyadic rational just below 3/13, so the exact floor is 2
+    alpha = math.nextafter(3 / 13, 0)
+    assert math.floor(alpha * 13) == 3
+    assert 2 < Fraction(alpha) * 13 < 3
+    assert alpha_cutoff(alpha, 13) == 2
+    assert alpha_cutoff(alpha, np.array([13, 26])).tolist() == [2, 5]
+    assert legendre_sum(alpha, 13) == sum(jacobi(n, 13) for n in (1, 2))
+
+
+def test_alpha_cutoff_array_matches_scalar():
+    ps = primes_up_to(2000)
+    for alpha in (Fraction(2, 5), 0.36787944117144233, 0.0):
+        assert alpha_cutoff(alpha, ps).tolist() == [alpha_cutoff(alpha, p) for p in ps.tolist()]
 
 
 def test_alpha_cutoff_rejects_out_of_range():
@@ -140,3 +162,99 @@ def test_expectation_scan_nonsquare_decays():
 def test_expectation_scan_empty_raises():
     with pytest.raises(ValueError):
         expectation_scan(3, 3, 1)  # no p ≡ 1 (mod 4) up to 3
+
+
+# --------------------------------------------------------------------------
+# the residue engine
+
+# odd primes on both sides of 131071, the largest p whose squares table
+# (k <= (p-1)/2) fits uint32; each side has one p = 1 and one p = 3 (mod 4)
+SWITCH_PRIMES = [131041, 131071, 131101, 131111]
+
+
+def test_squares_dtype_switch():
+    assert charsum._squares((131071 - 1) // 2).dtype == np.uint32
+    assert charsum._squares((131101 - 1) // 2).dtype == np.uint64
+
+
+@pytest.mark.parametrize("p", SWITCH_PRIMES)
+def test_engine_matches_jacobi_prefix_at_dtype_switch(p):
+    prefix = [0] + list(itertools.accumulate(jacobi(n, p) for n in range(1, p)))
+    cuts = [0, 1, 2, (p - 1) // 2, p // 3, p - 2, p - 1]
+    sums = charsum._scan_chunk(np.array([p]), np.array([[m] for m in cuts]))
+    assert sums[:, 0].tolist() == [prefix[m] for m in cuts]
+    # the same prime reduced from a wider (uint64) table gives the same sums
+    wide = charsum._scan_chunk(np.array([3, p, 262147]), np.array([[0, m, 0] for m in cuts]))
+    assert wide[:, 1].tolist() == sums[:, 0].tolist()
+    residues = charsum._quadratic_residues(p)
+    assert sorted(residues.tolist()) == sorted({k * k % p for k in range(1, p)})
+
+
+def test_sweep_equals_per_cell_scans():
+    alphas = [Fraction(2, 5), Fraction(1, 12), 0.36787944117144233, Fraction(0), Fraction(1, 2)]
+    sizes = [1, 50, 300, 1000]
+    for mode in ("ge", "gt"):
+        table = density_sweep(alphas, sizes, mode=mode)
+        for alpha, row in zip(alphas, table):
+            for n, report in zip(sizes, row):
+                cell = density_scan(alpha, n, mode=mode)
+                assert report == cell
+                for name in charsum.COUNTERS:
+                    assert getattr(report, name) == getattr(cell, name), (alpha, n, name)
+                assert report.as_json() == cell.as_json()
+
+
+def test_density_counters_match_per_prime_sums():
+    # every counter against L(alpha, p) from the prefix table, prime by prime
+    primes = primes_up_to(3000).tolist()
+    for alpha in (Fraction(1, 12), 0.36787944117144233):
+        sums = [legendre_sum(alpha, p) for p in primes]
+        one = [p % 4 == 1 for p in primes]
+        three = [p % 4 == 3 for p in primes]
+        expected = [
+            len(primes),
+            sum(v >= 0 for v in sums),
+            sum(v > 0 for v in sums),
+            sum(v == 0 for v in sums),
+            sum(v >= 0 and c for v, c in zip(sums, one)),
+            sum(v >= 0 and c for v, c in zip(sums, three)),
+            sum(v > 0 and c for v, c in zip(sums, one)),
+            sum(v > 0 and c for v, c in zip(sums, three)),
+        ]
+        report = density_scan(alpha, len(primes))
+        assert [getattr(report, name) for name in charsum.COUNTERS] == expected
+
+
+def test_sweep_thread_invariance_across_dtype_switch():
+    # 12300 primes run past 131071 (the 12251st prime): with four threads
+    # the early chunks reduce uint32 tables and the last a uint64 one, while
+    # one thread reduces everything from a single uint64 table
+    alphas = [Fraction(2, 5), 0.15915494309189535]
+    one = density_sweep(alphas, [12300], threads=1)
+    four = density_sweep(alphas, [12300], threads=4)
+    assert one == four
+
+
+def test_density_report_counts_and_bytes():
+    r = density_scan(Fraction(2, 5), 1000)
+    assert r.counts.tolist() == [getattr(r, name) for name in charsum.COUNTERS]
+    assert all(type(v) is int for k, v in r.as_dict().items() if k not in ("alpha", "mode"))
+    assert r.as_json() == (
+        '{"alpha": "2/5", "primes": 1000, "nonneg": 896, "strictpos": 879, "zero": 17, '
+        '"nonneg_1mod4": 391, "nonneg_3mod4": 504, "mode": "ge"}'
+    )
+    assert r.as_csv() == (
+        "alpha,primes,nonneg,strictpos,zero,nonneg_1mod4,nonneg_3mod4,mode\n"
+        "2/5,1000,896,879,17,391,504,ge\n"
+    )
+
+
+def test_density_sweep_rejects_bad_input():
+    with pytest.raises(ValueError):
+        density_sweep([Fraction(1, 2)], [0])
+    with pytest.raises(ValueError):
+        density_sweep([], [10])
+    with pytest.raises(ValueError):
+        density_sweep([1.5], [10])
+    with pytest.raises(ValueError):
+        density_sweep([0.5], [10], mode="lt")

@@ -110,6 +110,14 @@ def test_sigma2_partial_and_tail():
     assert tot4 >= p4
 
 
+def test_sigma2_raises_when_bound_exceeds_constant(monkeypatch):
+    # an explicit raise, not an assert: python -O must not drop the check
+    _, _, total = sigma2_one_third(10**4)
+    monkeypatch.setattr(tails, "SIGMA2", total * (1 - 1e-9))
+    with pytest.raises(ArithmeticError, match="variance bound violated"):
+        sigma2_one_third(10**4)
+
+
 def test_sigma2_p2_term():
     # the p = 2 term alone
     assert 0.25 * math.log(1 / 3) ** 2 == pytest.approx(0.3017, abs=1e-4)
@@ -198,6 +206,23 @@ def test_certify_at_boundary_printed():
     assert rep.certified
     assert rep.c_lower == pytest.approx(1 - (rep.p_neg_minus + rep.p_neg_plus) / 2)
     assert 0 <= rep.p_neg_minus <= 1 and 0 <= rep.p_neg_plus <= 1
+
+
+def test_certify_reports_negativity_bound_at_optimum():
+    for constants in ("printed", "recomputed"):
+        rep = certify_neighborhood(1 / 3 + 2e-6, constants=constants)
+        assert rep.p_neg_minus == min(negativity_bound(tails.SIGMA2, rep.d_minus, rep.u_minus), 1.0)
+        assert rep.p_neg_plus == min(negativity_bound(tails.SIGMA2, rep.d_plus, rep.u_plus), 1.0)
+
+
+def test_certify_depends_on_negativity_bound(monkeypatch):
+    before = certify_neighborhood(1 / 3 + 2e-6, constants="recomputed")
+    original = tails.negativity_bound
+    monkeypatch.setattr(tails, "negativity_bound", lambda s, D, u: original(s, D, u) + 0.01)
+    after = certify_neighborhood(1 / 3 + 2e-6, constants="recomputed")
+    assert after.p_neg_minus == pytest.approx(before.p_neg_minus + 0.01, abs=1e-9)
+    assert after.p_neg_plus == pytest.approx(before.p_neg_plus + 0.01, abs=1e-9)
+    assert after.c_lower == pytest.approx(before.c_lower - 0.01, abs=1e-9)
 
 
 def test_certify_degenerate_at_center():
