@@ -1,67 +1,11 @@
 """Exact Legendre-symbol partial sums, their positivity densities across
 primes, and a random completely multiplicative model with a certified
-positivity lower bound near alpha = 1/3."""
+positivity lower bound near alpha = 1/3.
 
-from .primes import (
-    PrimeTable,
-    first_primes,
-    is_prime,
-    jacobi,
-    kronecker_chi,
-    nth_prime,
-    primes_up_to,
-    sieve_primes,
-)
-from .charsum import (
-    DensityReport,
-    DirichletCheck,
-    QRTable,
-    alpha_cutoff,
-    build_qr_table,
-    class_number_h,
-    density_scan,
-    dirichlet_check,
-    expectation_scan,
-    legendre_sum,
-    parse_alpha,
-)
-from .fourier import (
-    BoundaryAlphaError,
-    fourier_coeff,
-    fourier_partial,
-    gauss_sum,
-    gauss_sum_closed_form,
-    twisted_sum_check,
-)
-from .randmodel import (
-    CoefficientSpec,
-    MultiplicativeSample,
-    PositivityEstimate,
-    RationalDecomposition,
-    UnsupportedAlphaError,
-    conditional_mean_1_8,
-    decompose_rational,
-    estimate_positivity,
-    euler_eval,
-    euler_product,
-    lambda_twist,
-    moment_direct,
-    sample_multiplicative,
-    series_eval,
-    xi_statistics,
-)
-from .tails import (
-    CertificationReport,
-    SubGaussianSeries,
-    certify_neighborhood,
-    distance_bound,
-    empirical_distance,
-    log_euler_identity_check,
-    negativity_bound,
-    optimize_u,
-    sigma2_one_third,
-    subgaussian_tail,
-    zeta_ratio_check,
-)
+The interface is the modules: ``legsums.primes``, ``legsums.charsum``,
+``legsums.fourier``, ``legsums.randmodel`` and ``legsums.tails``.
+"""
+
+from . import charsum, fourier, primes, randmodel, tails
 
 __version__ = "0.1.0"

@@ -51,7 +51,6 @@ def _thread_count(text: str) -> int:
 # subcommands
 
 def _cmd_density(args) -> int:
-    alpha = parse_alpha(args.alpha)
     threads = args.threads
     if threads is None:
         try:
@@ -59,7 +58,12 @@ def _cmd_density(args) -> int:
         except argparse.ArgumentTypeError as exc:
             print(f"legsums: error: LEGSUMS_THREADS: {exc}", file=sys.stderr)
             return 2
-    report = charsum.density_scan(alpha, args.primes, mode=args.mode, threads=threads)
+    try:
+        alpha = parse_alpha(args.alpha)
+        report = charsum.density_scan(alpha, args.primes, mode=args.mode, threads=threads)
+    except ValueError as exc:
+        print(f"legsums: error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         text = report.as_json()
     else:
@@ -187,11 +191,15 @@ def _cmd_moments(args) -> int:
         powers = mc**k
         mc_mean = float(powers.mean())
         mc_se = float(powers.std(ddof=1) / math.sqrt(args.samples))
+        # a z-score only against an exact value, not the truncated k = 5, 6 sum
+        z = ((mc_mean - direct) / mc_se if mc_se else 0.0) if k in exact else ""
         rows.append(
             {"alpha": str(alpha), "parity": args.parity, "k": k,
-             "direct": direct, "mc": mc_mean, "mc_se": mc_se,
-             "z": (mc_mean - direct) / mc_se if mc_se else 0.0}
+             "direct": direct, "mc": mc_mean, "mc_se": mc_se, "z": z}
         )
+    if any(k not in exact for k in args.k):
+        print(f"legsums: note: direct for k > 4 sums only n <= --cutoff {args.cutoff}, "
+              "so it is not exact and has no z-score", file=sys.stderr)
     _emit(_rows_to_text(rows, args.format), args.out)
     return 0
 

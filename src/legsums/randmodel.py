@@ -13,6 +13,7 @@ Euler product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -260,13 +261,6 @@ class RationalDecomposition:
     parity: str
     terms: tuple[Term, ...]
 
-    def coefficient(self, n: int) -> float:
-        total = 0j
-        for t in self.terms:
-            if n % t.dilation == 0:
-                total += t.coeff * t.chi.at(n // t.dilation)
-        return total.real
-
     def coefficients(self, N: int) -> np.ndarray:
         n = np.arange(1, N + 1)
         total = np.zeros(N, dtype=complex)
@@ -353,7 +347,6 @@ _DECOMPOSITIONS: dict[tuple[Fraction, str], tuple[Term, ...]] = {
 }
 
 SUPPORTED_ALPHAS = sorted({a for a, _ in _DECOMPOSITIONS})
-SUPPORTED_DENOMINATORS = frozenset({1, 2, 3, 4, 5, 6, 8, 12})
 
 
 def decompose_rational(alpha: Fraction | str, parity: str) -> RationalDecomposition:
@@ -381,9 +374,8 @@ def euler_product(
     """prod_{p <= P} (1 - chi(p) X_p / p)^{-1}; primes with chi(p) = 0 drop
     out."""
     primes = primes_up_to(prime_cutoff)
-    signs = sample.signs_for_primes(primes).astype(np.float64)
-    chi_p = chi.on(primes)
-    return complex(np.prod(1.0 / (1.0 - chi_p * signs / primes)))
+    signs = sample.signs_for_primes(primes)[None, :]
+    return complex(_euler_sum((Term(1, chi),), signs, primes, prime_cutoff)[0])
 
 
 def euler_eval(
@@ -394,11 +386,69 @@ def euler_eval(
     """Evaluate the series through its Euler products, truncated at the
     prime cutoff.  Sign identities that hold for the infinite object hold
     here exactly (up to roundoff) at every cutoff."""
-    total = 0j
-    for t in decomp.terms:
-        x_d = sample.x_of(t.dilation)
-        total += t.coeff * x_d / t.dilation * euler_product(t.chi, sample, prime_cutoff)
-    return total.real
+    primes = primes_up_to(_sign_limit(decomp, prime_cutoff))
+    signs = sample.signs_for_primes(primes)[None, :]
+    return float(_euler_sum(decomp.terms, signs, primes, prime_cutoff)[0].real)
+
+
+def euler_values_matrix(
+    decomp: RationalDecomposition,
+    samples: int,
+    seed0: int = 0,
+    prime_cutoff: int = 1000,
+) -> np.ndarray:
+    """euler_eval for seeds seed0 .. seed0+samples-1, vectorized."""
+    limit = _sign_limit(decomp, prime_cutoff)
+    signs = _shared_signs(int(seed0), int(samples), limit)
+    return _euler_sum(decomp.terms, signs, primes_up_to(limit), prime_cutoff).real
+
+
+def _sign_limit(decomp: RationalDecomposition, prime_cutoff: int) -> int:
+    """The sign columns reach the primes of every dilation too."""
+    return max([prime_cutoff] + [t.dilation for t in decomp.terms])
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_signs(seed0: int, samples: int, limit: int) -> np.ndarray:
+    """The sign block of seeds seed0 .. seed0+samples-1 on the primes up to
+    limit, hashed once for all the (alpha, parity) pairs of a run.  Every
+    caller gets the same array, so it is read-only."""
+    signs = prime_sign_matrix(np.arange(seed0, seed0 + samples), primes_up_to(limit))
+    signs.flags.writeable = False
+    return signs
+
+
+def _euler_sum(
+    terms: tuple[Term, ...], signs: np.ndarray, primes: np.ndarray, prime_cutoff: int
+) -> np.ndarray:
+    """sum of coeff * X_d / d * prod_{p <= P} (1 - chi(p) X_p / p)^{-1} over
+    the terms (complex), per row of an int8 sign block on the given primes.
+
+    As X_p = ±1, -log(1 - c X_p / p) = e_p + X_p o_p with e_p and o_p its
+    even and odd parts in X_p, so each character's log-product is
+    sum_p e_p + signs @ o: one real matmul for all the distinct characters,
+    complex ones with an imaginary column as well, then one exp.  Terms
+    with the same character share its product, so they cancel exactly.
+    """
+    total = np.zeros(len(signs), dtype=complex)
+    if not terms:
+        return total
+    chis = tuple(dict.fromkeys(t.chi for t in terms))
+    c = np.array([chi.on(primes) for chi in chis], dtype=complex)
+    c *= (primes <= prime_cutoff) / primes
+    up, down = -np.log1p(-c), -np.log1p(c)  # at X_p = +1 and at X_p = -1
+    even, odd = (up + down) / 2, (up - down) / 2
+    imag = [j for j in range(len(chis)) if odd[j].imag.any()]
+    logs = signs @ np.concatenate([odd.real, odd[imag].imag]).T
+    log_prod = even.sum(axis=1) + logs[:, : len(chis)]
+    log_prod[:, imag] += 1j * logs[:, len(chis) :]
+    product = dict(zip(chis, np.exp(log_prod).T))
+    for t in terms:
+        core = int(squarefree_core(t.dilation)[t.dilation])  # X_d = X_core(d)
+        odd_primes = np.flatnonzero(core % primes[primes <= core] == 0)
+        x_d = np.prod(signs[:, odd_primes], axis=1, dtype=float)
+        total += t.coeff / t.dilation * x_d * product[t.chi]
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -511,44 +561,6 @@ def sample_series_matrix(
     return out
 
 
-def euler_values_matrix(
-    decomp: RationalDecomposition,
-    samples: int,
-    seed0: int = 0,
-    prime_cutoff: int = 1000,
-) -> np.ndarray:
-    """euler_eval for seeds seed0 .. seed0+samples-1, vectorized."""
-    primes = primes_up_to(prime_cutoff)
-    seeds = np.arange(seed0, seed0 + samples)
-    signs = prime_sign_matrix(seeds, primes).astype(np.float64)
-    total = np.zeros(samples, dtype=complex)
-    prime_index = {p: j for j, p in enumerate(primes.tolist())}
-    for t in decomp.terms:
-        chi_p = t.chi.on(primes)
-        prod = np.prod(1.0 / (1.0 - chi_p[None, :] * signs / primes), axis=1)
-        x_d = _x_of_matrix(t.dilation, signs, prime_index)
-        total += t.coeff / t.dilation * x_d * prod
-    return total.real
-
-
-def _x_of_matrix(d: int, signs: np.ndarray, prime_index: dict[int, int]) -> np.ndarray:
-    """X_d per sample, from the already-computed prime sign matrix."""
-    out = np.ones(signs.shape[0])
-    if d == 1:
-        return out
-    for p, j in prime_index.items():
-        if p > d:
-            break
-        e = 0
-        dd = d
-        while dd % p == 0:
-            dd //= p
-            e += 1
-        if e % 2 == 1:
-            out *= signs[:, j]
-    return out
-
-
 @dataclass(frozen=True)
 class PositivityEstimate:
     n_samples: int
@@ -560,7 +572,7 @@ class PositivityEstimate:
     @staticmethod
     def from_values(values: np.ndarray, tol: float = 1e-9) -> "PositivityEstimate":
         n = len(values)
-        strict = float(np.count_nonzero(values > 0)) / n
+        strict = float(np.count_nonzero(values > tol)) / n
         nonneg = float(np.count_nonzero(values >= -tol)) / n
 
         def ci(p):

@@ -137,6 +137,15 @@ def test_bad_threads_env_exits_2(monkeypatch, capsys, value):
     assert "LEGSUMS_THREADS" in captured.err
 
 
+@pytest.mark.parametrize("alpha,primes", [("1.5", "10"), ("2/5", "0")])
+def test_density_out_of_range_exits_2(capsys, alpha, primes):
+    code = main(["density", "--alpha", alpha, "--primes", primes])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_bad_threads_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["density", "--alpha", "1/3", "--primes", "10", "--threads", "0"])
@@ -163,6 +172,23 @@ def test_moments_output(capsys):
     assert code == 0
     rows = json.loads(out)
     assert all(abs(r["z"]) < 4 for r in rows)
+
+
+def test_moments_truncated_orders_have_no_z(capsys):
+    argv = ["moments", "--alpha", "1/3", "--parity", "minus", "--truncation", "300",
+            "--samples", "500", "--cutoff", "30"]
+    code = main(argv + ["--k", "2", "3", "5", "6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    lines = captured.out.strip().splitlines()
+    assert [line.rsplit(",", 1)[1] != "" for line in lines[1:]] == [True, True, False, False]
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "--cutoff 30" in captured.err
+    # the exact rows do not change when truncated orders are asked for too
+    code = main(argv + ["--k", "2", "3"])
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines() == lines[:3]
+    assert captured.err == ""
 
 
 def test_certify_json(capsys):

@@ -209,6 +209,108 @@ def test_eighth_plus_nonneg_given_x2_positive():
     assert vals[x2 == 1].min() >= -1e-9
 
 
+def _per_factor_euler(decomp, signs, primes):
+    """sum_t coeff X_d / d prod_p 1/(1 - chi(p) X_p / p), factor by factor,
+    with X_d by trial division over the sign columns."""
+    total = np.zeros(len(signs), dtype=complex)
+    for t in decomp.terms:
+        chi_p = np.array([complex(t.chi.values[p % t.chi.period]) for p in primes.tolist()])
+        prod = np.prod(1.0 / (1.0 - chi_p * signs / primes), axis=1)
+        x_d, d = np.ones(len(signs)), t.dilation
+        for j, p in enumerate(primes.tolist()):
+            while d % p == 0:
+                d //= p
+                x_d = x_d * signs[:, j]
+        assert d == 1
+        total += t.coeff / t.dilation * x_d * prod
+    return total.real
+
+
+@pytest.mark.parametrize("alpha,parity", SUPPORTED)
+def test_euler_values_matrix_matches_per_factor_products(alpha, parity):
+    d = decompose_rational(alpha, parity)
+    primes = primes_up_to(500)
+    signs = rm.prime_sign_matrix(np.arange(300), primes).astype(np.float64)
+    vals = rm.euler_values_matrix(d, 300, seed0=0, prime_cutoff=500)
+    np.testing.assert_allclose(vals, _per_factor_euler(d, signs, primes), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        MultiplicativeSample(seed=3, forced=((2, -1), (3, -1))),
+        MultiplicativeSample(seed=3, forced=((2, 1), (5, -1)), negated=True),
+        MultiplicativeSample(seed=8, negated=True),
+    ],
+)
+def test_euler_eval_is_the_one_row_computation(sample):
+    primes = primes_up_to(500)
+    signs = sample.signs_for_primes(primes).astype(np.float64)[None, :]
+    for alpha, parity in SUPPORTED:
+        d = decompose_rational(alpha, parity)
+        expected = _per_factor_euler(d, signs, primes)[0]
+        assert euler_eval(d, sample, 500) == pytest.approx(expected, rel=0, abs=1e-12)
+    for chi in (rm.CHI4, rm.KAPPA, rm.CHI_0_3):
+        chi_p = np.array([complex(chi.values[p % chi.period]) for p in primes.tolist()])
+        expected = np.prod(1.0 / (1.0 - chi_p * signs[0] / primes))
+        assert abs(euler_product(chi, sample, 500) - expected) <= 1e-12
+
+
+def test_euler_eval_below_the_dilation_primes():
+    # at P = 2 the term of dilation 3 still carries X_3: the value is
+    # 2 X_3 / 3 + (1/2 + X_2 / 2) / (1 - X_2 / 2); seeds 0..9 take all four
+    # sign pairs of (X_2, X_3)
+    d = decompose_rational(Fraction(1, 6), "minus")
+    vals = rm.euler_values_matrix(d, 10, seed0=0, prime_cutoff=2)
+    pairs = set()
+    for seed in range(10):
+        s = sample_multiplicative(seed)
+        x2, x3 = s.x_of(2), s.x_of(3)
+        pairs.add((x2, x3))
+        expected = 2 * x3 / 3 + (0.5 + x2 / 2) / (1 - x2 / 2)
+        assert euler_eval(d, s, 2) == pytest.approx(expected, abs=1e-12)
+        assert vals[seed] == pytest.approx(expected, abs=1e-12)
+    assert len(pairs) == 4
+
+
+def test_shared_sign_block_is_keyed_and_read_only():
+    rm._shared_signs.cache_clear()
+    d = decompose_rational(Fraction(1, 5), "plus")
+    calls = [(0, 50, 100), (0, 50, 100), (7, 50, 100), (0, 60, 100), (0, 50, 200), (0, 50, 100)]
+    for seed0, samples, cutoff in calls:
+        primes = primes_up_to(cutoff)
+        signs = rm.prime_sign_matrix(np.arange(seed0, seed0 + samples), primes)
+        vals = rm.euler_values_matrix(d, samples, seed0=seed0, prime_cutoff=cutoff)
+        np.testing.assert_allclose(
+            vals, _per_factor_euler(d, signs.astype(np.float64), primes), rtol=0, atol=1e-12
+        )
+    info = rm._shared_signs.cache_info()
+    assert (info.hits, info.misses) == (1, 5)
+    block = rm._shared_signs(0, 50, 100)
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 1
+
+
+@pytest.mark.parametrize("alpha,strict", [(Fraction(1, 12), 0.7511), (Fraction(5, 12), 0.4232)])
+def test_strict_fraction_excludes_the_zero_atom(alpha, strict):
+    # at 1/12 and 5/12 plus the Euler value is exactly 0 when X_2 = X_3 = -1;
+    # roundoff there (a few 1e-16) must not count as positive
+    samples = 10_000
+    x = rm.prime_sign_matrix(np.arange(samples), np.array([2, 3]))
+    atom = (x[:, 0] == -1) & (x[:, 1] == -1)
+    d = decompose_rational(alpha, "plus")
+    vals = rm.euler_values_matrix(d, samples, seed0=0, prime_cutoff=1000)
+    assert np.abs(vals[atom]).max() < 1e-12
+    assert np.abs(vals[~atom]).min() > 1e-6
+    est = estimate_positivity(d, samples, seed=0, prime_cutoff=1000)
+    strict_count = round(est.strict_fraction * samples)
+    assert strict_count == round(est.nonneg_fraction * samples) - atom.sum()
+    assert est.strict_fraction == strict
+    if alpha == Fraction(1, 12):
+        assert strict_count == samples - atom.sum()
+
+
 # --------------------------------------------------------------------------
 # Monte Carlo engine
 
