@@ -41,10 +41,22 @@ def _rows_to_text(rows: list[dict], fmt: str) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _thread_count(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_thread_count = _int_at_least(1)
 
 
 # --------------------------------------------------------------------------
@@ -111,8 +123,14 @@ def _cmd_fourier_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    alpha = parse_alpha(args.alpha)
     parities = ["plus", "minus"] if args.parity == "both" else [args.parity]
+    try:
+        alpha = parse_alpha(args.alpha)
+        if args.evaluator == "euler":
+            decomps = {parity: randmodel.decompose_rational(alpha, parity) for parity in parities}
+    except ValueError as exc:  # an unparsable alpha, or one outside the decomposition table
+        print(f"legsums: error: {exc}", file=sys.stderr)
+        return 2
     if args.evaluator == "series":
         # one call hashes the signs and builds X once for every parity
         cols = np.column_stack([
@@ -127,12 +145,9 @@ def _cmd_simulate(args) -> int:
     else:
         estimates = {
             parity: randmodel.estimate_positivity(
-                randmodel.CoefficientSpec(parity, alpha),
-                samples=args.samples,
-                seed=args.seed,
-                prime_cutoff=args.prime_cutoff,
+                decomp, samples=args.samples, seed=args.seed, prime_cutoff=args.prime_cutoff
             )
-            for parity in parities
+            for parity, decomp in decomps.items()
         }
     rows = [
         {"alpha": str(alpha), "parity": parity, "evaluator": args.evaluator,
@@ -292,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo positivity estimates")
     p.add_argument("--alpha", required=True)
     p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truncation", type=int, default=100000)
+    p.add_argument("--truncation", type=_int_at_least(1), default=100000)
     p.add_argument("--prime-cutoff", type=int, default=1000)
     p.add_argument("--evaluator", choices=("series", "euler"), default="euler")
     common(p)
@@ -309,9 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="direct vs Monte Carlo moments")
     p.add_argument("--alpha", required=True)
     p.add_argument("--parity", choices=("plus", "minus"), required=True)
-    p.add_argument("--k", type=int, nargs="+", default=[2, 3, 4])
-    p.add_argument("--truncation", type=int, default=10000)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--k", type=int, nargs="+", choices=range(1, 7), default=[2, 3, 4],
+                   metavar="{1..6}")
+    p.add_argument("--truncation", type=_int_at_least(1), default=10000)
+    p.add_argument("--samples", type=_int_at_least(2), default=100000,
+                   help="Monte Carlo samples (at least 2, for a standard error)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cutoff", type=int, default=300,
                    help="outer cutoff for the k=5,6 divisor enumeration")

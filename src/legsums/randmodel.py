@@ -706,10 +706,10 @@ def moment_direct(coeffs: np.ndarray, k: int, cutoff: int | None = None) -> floa
     """Exact k-th moment of sum_{m<=N} a_m X_m / m over the random signs.
 
     k <= 4 is computed exactly by grouping indices by squarefree kernel
-    (X_m = X_core(m)) and convolving under the "xor" product
-    u*v/gcd(u,v)^2; a product of kernels has expectation 1 iff it is 1.
-    k in {5, 6} falls back to enumerating factorizations of n^2 for
-    n <= cutoff.  Larger k is refused.
+    (X_m = X_core(m)) and conditioning on the one prime factor above sqrt(N)
+    that a kernel can have; see `moment_bundle` for the identity.  k in
+    {5, 6} falls back to enumerating factorizations of n^2 for n <= cutoff.
+    Larger k is refused.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -723,9 +723,23 @@ def moment_direct(coeffs: np.ndarray, k: int, cutoff: int | None = None) -> floa
 
 
 def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
-    """Exact moments for k = 1..kmax (kmax <= 4) sharing one kernel
-    convolution.  The third moment needs only the products whose key is at
-    most N, so with kmax = 3 the convolution keeps just those."""
+    """Exact moments for k = 1..kmax (kmax <= 4) of S = sum_{m<=N} a_m X_m / m.
+
+    Folded onto squarefree kernels, S = sum_d w_d X_d, and a product of
+    kernels has expectation 1 iff its xor product u*v/gcd(u,v)^2 is 1.  A
+    squarefree d <= N has at most one prime factor Q > sqrt(N), so
+    S = A_1 + sum_Q X_Q A_Q with A_1 and each A_Q sums of w X_m over
+    sqrt(N)-smooth m (for A_Q, w_{mQ} with mQ <= N).  The X_Q are
+    independent of each other and of the smooth signs, so with c_Q(t) the
+    coefficient of X_t in A_Q^2 (the xor self-convolution of group Q, c_1
+    that of A_1) and C = sum_{Q>1} c_Q:
+
+        E S^3 = sum_{t<=N} w_t (c_1 + 3 C)(t),
+        E S^4 = sum_t (c_1^2 + 6 c_1 C + 3 C^2 - 2 sum_{Q>1} c_Q^2)(t).
+
+    Only the pairs inside one group are enumerated, and every key of a
+    group Q > 1 is below N.
+    """
     if not 1 <= kmax <= 4:
         raise ValueError(f"kmax must be in 1..4, got {kmax}")
     coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -736,44 +750,73 @@ def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
         support, weights, w_full = _kernel_weights(coeffs)
         out[2] = float(np.sum(weights**2))
     if kmax >= 3:
-        keys, vals = _xor_convolution(support, weights, limit=N if kmax == 3 else None)
-        sel = keys <= N
-        out[3] = float(np.sum(vals[sel] * w_full[keys[sel]]))
+        large = _large_prime_part(N)[support]  # Q of each kernel, 1 if smooth
+        order = np.argsort(large, kind="stable")  # by Q, then by d
+        large = large[order]
+        starts = np.flatnonzero(np.diff(large, prepend=0))
+        group, keys, vals = _xor_convolution(support[order] // large, weights[order], starts)
+        smooth = large[starts][group] == 1
+        C = np.bincount(keys[~smooth], weights=vals[~smooth], minlength=len(w_full))
+        c1, t1 = vals[smooth], keys[smooth]
+        low = t1 < len(w_full)
+        out[3] = float(np.dot(w_full[t1[low]], c1[low]) + 3 * np.dot(w_full, C))
     if kmax == 4:
-        out[4] = float(np.sum(vals**2))
+        out[4] = float(
+            np.dot(c1, c1) + 6 * np.dot(c1[low], C[t1[low]]) + 3 * np.dot(C, C)
+            - 2 * np.dot(vals[~smooth], vals[~smooth])
+        )
     return out
 
 
-def _xor_convolution(
-    support: np.ndarray, weights: np.ndarray, limit: int | None = None, chunk: int = 512
-):
-    """All pairwise xor-products u*v/gcd^2 with aggregated weight products.
+def _large_prime_part(N: int) -> np.ndarray:
+    """big[n] = the prime factor of n above sqrt(N), or 1 if n has none.
 
-    The kernels are distinct and squarefree, so u*v/gcd^2 = 1 only for
-    u = v: the diagonal is the key 1 with weight sum w^2, and each pair
-    u < v is enumerated once with weight 2 w_u w_v.  Keys above limit are
-    dropped before aggregating.
+    An n <= N has at most one such factor, and only to the first power, so
+    dividing out every prime up to sqrt(N) leaves it.
     """
-    keys_parts = [np.ones(1, dtype=np.int64)]
-    vals_parts = [np.array([np.dot(weights, weights)])]
-    for i in range(0, len(support), chunk):
-        u, v = support[i : i + chunk], support[i + 1 :]
-        g = np.gcd.outer(u, v)
-        keys = (u[:, None] // g) * (v[None, :] // g)
-        # row a is support[i + a] and column b is support[i + 1 + b]
-        keep = np.arange(len(v))[None, :] >= np.arange(len(u))[:, None]
-        if limit is not None:
-            keep &= keys <= limit
-        keys_parts.append(keys[keep])
-        vals_parts.append(2 * np.outer(weights[i : i + chunk], weights[i + 1 :])[keep])
-    # the parts and the permutation are freed before the next full-size copy
-    keys, vals = np.concatenate(keys_parts), np.concatenate(vals_parts)
-    del keys_parts, vals_parts
+    big = np.arange(N + 1, dtype=np.int64)
+    for p in primes_up_to(math.isqrt(N)).tolist():
+        q = p
+        while q <= N:  # n with p^j | n is divided by p once per j
+            big[q::q] //= p
+            q *= p
+    return big
+
+
+def _xor_convolution(support: np.ndarray, weights: np.ndarray, starts: np.ndarray):
+    """The xor self-convolution of each group of squarefree kernels.
+
+    Group g is support[starts[g] : starts[g + 1]], the last running to the
+    end.  Its convolution puts w_u w_v at the key u*v/gcd(u,v)^2 for every
+    pair u, v of the group.  Each pair is enumerated once: u with itself
+    gives the key 1 and w_u^2, and u before v gives 2 w_u w_v.  Returns
+    (group, key, value) aggregated per (group, key), sorted by both.
+    """
+    K = len(support)
+    sizes = np.diff(np.append(starts, K))
+    # the pairs (first, second) with first <= second inside one group
+    count = np.repeat(starts + sizes, sizes) - np.arange(K)
+    first = np.repeat(np.arange(K), count)
+    second = np.arange(len(first)) - np.repeat(np.cumsum(count) - count - np.arange(K), count)
+    u, v = support[first], support[second]
+    g = np.gcd(u, v)
+    keys = (u // g) * (v // g)
+    del u, v, g
+    vals = weights[first] * weights[second]
+    vals[first != second] *= 2
+    # group g's keys lie in [1, base[g + 1] - base[g]): its largest kernel
+    # squared bounds them, so base[g] + key orders by group and then key
+    span = support[starts + sizes - 1] ** 2 + 1
+    base = np.cumsum(span) - span
+    keys += np.repeat(base, sizes)[first]
+    del first, second
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
     del order
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(vals, starts)
+    new = np.flatnonzero(np.diff(keys, prepend=0))
+    keys = keys[new]
+    group = np.searchsorted(base, keys, side="right") - 1
+    return group, keys - base[group], np.add.reduceat(vals, new)
 
 
 def _tau_moment(coeffs: np.ndarray, k: int, cutoff: int) -> float:

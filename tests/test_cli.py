@@ -153,6 +153,34 @@ def test_bad_threads_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_simulate_unsupported_alpha_exits_2(capsys):
+    code = main(["simulate", "--alpha", "1/7", "--samples", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "1/7" in lines[0] and "supported alphas: 0, 1/12" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--k", "7"],
+    ["moments", "--k", "0"],
+    ["moments", "--truncation", "0"],
+    ["moments", "--samples", "1"],
+    ["moments", "--samples", "0"],
+    ["simulate", "--samples", "0"],
+], ids=["k7", "k0", "truncation0", "samples1", "samples0", "simulate-samples0"])
+def test_bad_numeric_input_exits_2(capsys, argv):
+    extra = ["--parity", "minus"] if argv[0] == "moments" else []
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--alpha", "1/3"] + extra + argv[1:])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[1] in captured.err
+
+
 def test_decompose_table(capsys):
     code, out = run(capsys, "decompose", "--alpha", "1/4", "--parity", "minus")
     assert code == 0

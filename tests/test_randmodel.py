@@ -1,10 +1,11 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legsums.primes import first_primes, primes_up_to
@@ -522,6 +523,105 @@ def test_moment_k3_key_at_squarefree_truncation():
             total += w[a - 1] * w[b - 1] * w[d - 1]
     assert moment_direct(c, 3) == pytest.approx(total, rel=1e-12)
     assert rm.moment_bundle(c)[3] == pytest.approx(total, rel=1e-12)
+
+
+def _all_pairs_xor_convolution(support, weights):
+    """The all-pairs gcd-key convolution: every pair u < v of kernels at key
+    u*v/gcd(u,v)^2 with weight 2 w_u w_v, plus the key 1 with sum w^2.
+    Each row of weights is convolved on its own."""
+    i, j = np.triu_indices(len(support), 1)
+    u, v = support[i], support[j]
+    g = np.gcd(u, v)
+    keys = np.concatenate(([1], (u // g) * (v // g)))
+    vals = np.column_stack([(weights**2).sum(axis=1), 2 * weights[:, i] * weights[:, j]])
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq, np.array([np.bincount(inverse, weights=row) for row in vals])
+
+
+@functools.lru_cache(maxsize=None)
+def _trial_division_cores(N):
+    """core[n] for 0 < n <= N: the product of the primes dividing n to an odd power."""
+    cores = [0]
+    for n in range(1, N + 1):
+        core, m, p = 1, n, 2
+        while p * p <= m:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            core *= p if e % 2 else 1
+            p += 1
+        cores.append(core * m)  # what is left of m is 1 or a prime
+    return np.array(cores)
+
+
+def _assert_moments_match_all_pairs(c):
+    """k = 3, 4 of moment_bundle against the all-pairs convolution, with the
+    kernel weights folded here onto trial-division cores.  The same sums
+    over |a_n| bound every term, so they scale the rounding."""
+    N = len(c)
+    n = np.arange(1, N + 1)
+    w = np.array([
+        np.bincount(_trial_division_cores(N), weights=np.r_[0, a / n], minlength=N + 1)
+        for a in (c, np.abs(c))
+    ])
+    support = np.flatnonzero(w[1])
+    keys, vals = _all_pairs_xor_convolution(support, w[:, support])
+    low = keys <= N
+    (k3, scale3), (k4, scale4) = (vals[:, low] * w[:, keys[low]]).sum(axis=1), (vals**2).sum(axis=1)
+    bundle = rm.moment_bundle(c, 4)
+    assert bundle[3] == pytest.approx(k3, rel=1e-12, abs=1e-12 * scale3)
+    assert bundle[4] == pytest.approx(k4, rel=1e-12, abs=1e-12 * scale4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 400), seed=st.integers(0, 2**32 - 1), zeros=st.floats(0, 0.9))
+@example(N=48, seed=1, zeros=0.0)
+@example(N=49, seed=2, zeros=0.0)
+@example(N=50, seed=3, zeros=0.5)
+@example(N=120, seed=4, zeros=0.0)
+@example(N=121, seed=5, zeros=0.0)
+@example(N=122, seed=6, zeros=0.3)
+@example(N=168, seed=7, zeros=0.0)
+@example(N=169, seed=8, zeros=0.0)
+@example(N=170, seed=9, zeros=0.6)
+@example(N=30, seed=10, zeros=1.0)
+def test_moment_bundle_matches_all_pairs_random_weights(N, seed, zeros):
+    # around prime squares the split at sqrt(N) moves: 7 and 11 and 13 each
+    # go from above sqrt(N) to at or below it
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1, 1, N)
+    c[rng.random(N) < zeros] = 0
+    _assert_moments_match_all_pairs(c)
+
+
+@pytest.mark.parametrize("alpha,parity", SUPPORTED)
+def test_moment_bundle_matches_all_pairs_supported(alpha, parity):
+    _assert_moments_match_all_pairs(CoefficientSpec(parity, alpha).coefficients(2000))
+
+
+@pytest.mark.parametrize("N", [1, 49, 1000])
+def test_moment_bundle_orders_agree(N):
+    c = CoefficientSpec("plus", Fraction(2, 5)).coefficients(N)
+    full = rm.moment_bundle(c, 4)
+    for kmax in range(1, 5):
+        part = rm.moment_bundle(c, kmax)
+        assert part == {k: full[k] for k in range(1, kmax + 1)}
+
+
+def test_moment_bundle_memory_below_k_squared():
+    import tracemalloc
+
+    c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(10**4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rm.moment_bundle(c)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the all-pairs keys of its 4562 kernels alone would take 83 MB
+    assert peak < 64 * 2**20
 
 
 def test_moment_k5_exact_small():

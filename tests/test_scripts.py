@@ -3,18 +3,40 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_acceptance import DENSITY_TABLE_1000, DENSITY_TABLE_10000
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_positivity_estimates_script_runs():
+def run_script(name, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "positivity_estimates.py"), "--samples", "300"],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_positivity_estimates_script_runs():
+    proc = run_script("positivity_estimates.py", "--samples", "300")
     rows = [line.split() for line in proc.stdout.strip().splitlines()[1:]]
     assert len(rows) == 11
     for alpha, plus_strict, plus_nonneg, minus_strict, minus_nonneg, _ in rows:
         assert float(plus_strict) <= float(plus_nonneg), alpha
         assert float(minus_strict) <= float(minus_nonneg), alpha
+
+
+def test_density_table_script_matches_pinned_counts():
+    proc = run_script("density_table.py")
+    rows = [line.split() for line in proc.stdout.strip().splitlines()[1:]]
+    counts = {(label, int(primes)): int(nonneg) for label, primes, nonneg, *_ in rows}
+    labels = ["2/5", "3/8", "1/12", "1/(2pi)", "1/e"]
+    assert len(rows) == 10
+    for size, table in ((1000, DENSITY_TABLE_1000), (10000, DENSITY_TABLE_10000)):
+        assert [counts[label, size] for label in labels] == [count for _, count in table]
+
+
+def test_certification_constants_script_runs():
+    proc = run_script("certification_constants.py")
+    assert "<- certified radius" in proc.stdout
