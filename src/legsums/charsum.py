@@ -21,12 +21,10 @@ import numpy as np
 from .primes import first_primes, is_prime, jacobi, primes_up_to
 
 __all__ = [
-    "QRTable",
     "DensityReport",
     "DirichletCheck",
     "parse_alpha",
     "alpha_cutoff",
-    "build_qr_table",
     "legendre_sum",
     "density_scan",
     "density_sweep",
@@ -98,47 +96,16 @@ def _quadratic_residues(p: int) -> np.ndarray:
     return _reduce_squares(squares, p, out=np.empty_like(squares))
 
 
-@dataclass(frozen=True)
-class QRTable:
-    """Quadratic-residue prefix counts modulo an odd prime p.
-
-    prefix[m] is the number of quadratic residues in [1, m], for
-    0 <= m <= p-1, so the Legendre partial sum over [1, m] is
-    2*prefix[m] - m.
-    """
-
-    p: int
-    prefix: np.ndarray = field(repr=False)
-
-    def partial_sum(self, m: int) -> int:
-        return 2 * int(self.prefix[m]) - m
-
-
-def build_qr_table(p: int) -> QRTable:
-    """Residue indicator prefix-summed; O(p)."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"build_qr_table needs an odd prime, got {p}")
-    indicator = np.zeros(p, dtype=np.int64)
-    indicator[_quadratic_residues(p)] = 1
-    prefix = np.cumsum(indicator)
-    prefix.setflags(write=False)
-    return QRTable(p=p, prefix=prefix)
-
-
-def legendre_sum(alpha: Alpha, p: int, table: QRTable | None = None) -> int:
+def legendre_sum(alpha: Alpha, p: int) -> int:
     """Exact partial sum of Legendre symbols (n/p) for n <= floor(alpha*p).
 
-    For p = 2 every symbol in the range is taken as 0, so the sum is 0
-    (see density_scan for why p = 2 participates in scans at all).
+    A one-prime, one-alpha run of the density sweep's residue count.  For
+    p = 2 every symbol in the range is taken as 0, so the sum is 0 (see
+    density_scan for why p = 2 participates in scans at all).
     """
-    _check_alpha(alpha)
-    if p == 2:
-        return 0
-    if table is None:
-        table = build_qr_table(p)
-    elif table.p != p:
-        raise ValueError(f"table is for p={table.p}, not p={p}")
-    return table.partial_sum(alpha_cutoff(alpha, p))
+    if not is_prime(p):
+        raise ValueError(f"legendre_sum needs a prime, got {p}")
+    return int(_scan_chunk(np.array([p]), np.array([[alpha_cutoff(alpha, p)]]))[0, 0])
 
 
 # --------------------------------------------------------------------------

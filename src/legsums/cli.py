@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,6 +60,23 @@ def _int_at_least(low: int):
 _thread_count = _int_at_least(1)
 
 
+def _parsed(parse):
+    """An argparse type for --alpha: parse(text), with a parse error (such
+    as '1/0' or 'abc') made a usage error (exit 2)."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"expected a fraction a/b or a decimal, got {text!r}") from None
+
+    return convert
+
+
+_alpha = _parsed(parse_alpha)
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -71,8 +89,7 @@ def _cmd_density(args) -> int:
             print(f"legsums: error: LEGSUMS_THREADS: {exc}", file=sys.stderr)
             return 2
     try:
-        alpha = parse_alpha(args.alpha)
-        report = charsum.density_scan(alpha, args.primes, mode=args.mode, threads=threads)
+        report = charsum.density_scan(args.alpha, args.primes, mode=args.mode, threads=threads)
     except ValueError as exc:
         print(f"legsums: error: {exc}", file=sys.stderr)
         return 2
@@ -109,11 +126,15 @@ def _cmd_dirichlet(args) -> int:
 
 
 def _cmd_fourier_check(args) -> int:
-    alpha = parse_alpha(args.alpha)
+    alpha = args.alpha
     rows = []
     for M in args.truncation:
-        exact = charsum.legendre_sum(alpha, args.p)
-        approx = fourier.fourier_partial(alpha, args.p, M)
+        try:
+            exact = charsum.legendre_sum(alpha, args.p)
+            approx = fourier.fourier_partial(alpha, args.p, M)
+        except ValueError as exc:  # p not an odd prime, alpha out of range or alpha*p integral
+            print(f"legsums: error: {exc}", file=sys.stderr)
+            return 2
         rows.append(
             {"alpha": str(alpha), "p": args.p, "M": M, "exact": exact,
              "truncated": approx, "abs_error": abs(approx - exact)}
@@ -124,11 +145,11 @@ def _cmd_fourier_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     parities = ["plus", "minus"] if args.parity == "both" else [args.parity]
+    alpha = args.alpha
     try:
-        alpha = parse_alpha(args.alpha)
         if args.evaluator == "euler":
             decomps = {parity: randmodel.decompose_rational(alpha, parity) for parity in parities}
-    except ValueError as exc:  # an unparsable alpha, or one outside the decomposition table
+    except randmodel.UnsupportedAlphaError as exc:
         print(f"legsums: error: {exc}", file=sys.stderr)
         return 2
     if args.evaluator == "series":
@@ -168,7 +189,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    decomp = randmodel.decompose_rational(args.alpha, args.parity)
+    try:
+        decomp = randmodel.decompose_rational(args.alpha, args.parity)
+    except randmodel.UnsupportedAlphaError as exc:
+        print(f"legsums: error: {exc}", file=sys.stderr)
+        return 2
     rows = [
         {
             "coeff": format(complex(t.coeff), "g") if complex(t.coeff).imag else
@@ -192,7 +217,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    alpha = parse_alpha(args.alpha)
+    alpha = args.alpha
     spec = randmodel.CoefficientSpec(args.parity, alpha)
     coeffs = spec.coefficients(args.truncation)
     mc = randmodel.sample_series_matrix(
@@ -220,8 +245,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    alpha = parse_alpha(args.alpha)
-    report = tails.certify_neighborhood(float(alpha), constants=args.constants)
+    report = tails.certify_neighborhood(float(args.alpha), constants=args.constants)
     _emit(json.dumps(report.as_dict(), indent=2), args.out)
     return 0
 
@@ -281,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="also write the output to this path")
 
     p = sub.add_parser("density", help="scan partial-sum signs over the first N primes")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--primes", type=int, required=True)
     p.add_argument("--mode", choices=("ge", "gt"), default="ge")
     p.add_argument("--threads", type=_thread_count, default=None,
@@ -298,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dirichlet)
 
     p = sub.add_parser("fourier-check", help="truncated Fourier reconstruction error")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--truncation", type=int, nargs="+", default=[1000, 100000])
+    p.add_argument("--truncation", type=_int_at_least(1), nargs="+", default=[1000, 100000])
     common(p)
     p.set_defaults(func=_cmd_fourier_check)
 
     p = sub.add_parser("simulate", help="Monte Carlo positivity estimates")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
     p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -316,13 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("decompose", help="periodic-character expansion of a_n")
-    p.add_argument("--alpha", required=True)
+    # exact: a decimal such as 0.2 is read as the fraction it spells, 1/5
+    p.add_argument("--alpha", type=_parsed(Fraction), required=True)
     p.add_argument("--parity", choices=("plus", "minus"), required=True)
     common(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("moments", help="direct vs Monte Carlo moments")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--parity", choices=("plus", "minus"), required=True)
     p.add_argument("--k", type=int, nargs="+", choices=range(1, 7), default=[2, 3, 4],
                    metavar="{1..6}")
@@ -330,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(2), default=100000,
                    help="Monte Carlo samples (at least 2, for a standard error)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cutoff", type=int, default=300,
+    p.add_argument("--cutoff", type=_int_at_least(1), default=300,
                    help="outer cutoff for the k=5,6 divisor enumeration")
     common(p)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("certify", help="positivity certificate near alpha=1/3")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--constants", choices=("printed", "recomputed"), default="printed")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_certify)

@@ -177,13 +177,14 @@ def series_eval(
     sample: MultiplicativeSample,
     N: int,
 ) -> float:
-    """Direct truncated series sum_{n<=N} a_n X_n / n."""
+    """Direct truncated series sum_{n<=N} a_n X_n / n: the series engine on
+    the one row of the sample's own prime signs."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    coeffs = spec.coefficients(N)
-    x = sample.signs_up_to(N)[1:].astype(np.float64)
-    n = np.arange(1, N + 1)
-    return float(np.dot(coeffs / n, x))
+    layout = _kernel_layout(N)
+    weights = _fold(spec.coefficients(N)[:, None], layout)
+    signs = sample.signs_for_primes(layout.primes)[None, :]
+    return float(_series_sum(weights, signs, layout)[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -464,7 +465,9 @@ class _KernelLayout:
     which has one prime factor fewer and so sits in the level before.
     """
 
-    primes: np.ndarray
+    kernels: np.ndarray  # d of each row
+    large: np.ndarray  # the prime factor above sqrt(N) of each row's d, 1 if none
+    primes: np.ndarray  # the prime rows' d, a view of kernels
     spf_row: np.ndarray
     rest_row: np.ndarray
     levels: tuple[tuple[int, int], ...]  # row ranges of omega = 2, 3, ...
@@ -494,11 +497,20 @@ def _kernel_layout(N: int) -> _KernelLayout:
     # first row of each level 0 .. top + 1, with a level 1 even when N < 2
     top = max(int(omega.max()), 1)
     bounds = np.searchsorted(omega[order], np.arange(top + 2)).tolist()
+    levels = tuple(zip(bounds[2:-1], bounds[3:]))
+    rest_row = row[d // spf[d]]
+    # d's largest prime is that of d / spf(d), one level before; at most one
+    # prime factor of a d <= N lies above sqrt(N), and it is the largest
+    largest = d.copy()
+    for start, stop in levels:
+        largest[start:stop] = largest[rest_row[start:stop]]
     return _KernelLayout(
+        kernels=d,
+        large=np.where(largest * largest > N, largest, 1),
         primes=d[bounds[1] : bounds[2]],
         spf_row=row[spf[d]],
-        rest_row=row[d // spf[d]],
-        levels=tuple(zip(bounds[2:-1], bounds[3:])),
+        rest_row=rest_row,
+        levels=levels,
         row_of=row[core],
     )
 
@@ -510,7 +522,7 @@ def _kernel_signs(signs: np.ndarray, layout: _KernelLayout) -> np.ndarray:
     Level by level in omega(d), x[d] = x[spf(d)] * x[d / spf(d)], so each
     level is one vectorised gather.
     """
-    x = np.empty((len(layout.spf_row), signs.shape[0]), dtype=np.int8)
+    x = np.empty((len(layout.kernels), signs.shape[0]), dtype=np.int8)
     x[0] = 1
     x[1 : 1 + signs.shape[1]] = signs.T
     for start, stop in layout.levels:
@@ -520,9 +532,35 @@ def _kernel_signs(signs: np.ndarray, layout: _KernelLayout) -> np.ndarray:
     return x
 
 
+def _fold(coeff_columns: np.ndarray, layout: _KernelLayout) -> np.ndarray:
+    """(kernel rows, C): the sum of a_n / n over the n <= N of each row's
+    kernel, one column per column of coeff_columns (N, C).  X_n = X_core(n),
+    so sum_n a_n X_n / n = sum_d w_d X_d."""
+    n = np.arange(1, len(coeff_columns) + 1, dtype=np.float64)
+    return np.column_stack([
+        np.bincount(layout.row_of[1:], weights=col / n, minlength=len(layout.kernels))
+        for col in coeff_columns.T
+    ])
+
+
 #: kernel rows per float64 block of the series product; a block holds
-#: _PRODUCT_ROWS × batch doubles whatever the truncation
+#: _PRODUCT_ROWS × _SERIES_BATCH doubles whatever the truncation
 _PRODUCT_ROWS = 1024
+
+#: samples per sign block of sample_series_matrix, the fastest of 16 .. 2000
+#: at N = 10^4 and 10^5 (256 ties at 10^4): the int8 kernel block (about 0.61 N × 64 bytes) and
+#: its level gathers stay in cache, and memory does not grow with samples
+_SERIES_BATCH = 64
+
+
+def _series_sum(weights: np.ndarray, signs: np.ndarray, layout: _KernelLayout) -> np.ndarray:
+    """sum_d w_d X_d per row of an int8 (samples × primes) sign block, for
+    each column of the folded weights: (samples, C)."""
+    x = _kernel_signs(signs, layout)
+    acc = np.zeros((weights.shape[1], len(signs)))
+    for r in range(0, len(x), _PRODUCT_ROWS):
+        acc += weights[r : r + _PRODUCT_ROWS].T @ x[r : r + _PRODUCT_ROWS].astype(np.float64)
+    return acc.T
 
 
 def sample_series_matrix(
@@ -530,34 +568,24 @@ def sample_series_matrix(
     N: int,
     samples: int,
     seed0: int = 0,
-    batch: int = 2000,
     force: dict[int, int] | None = None,
 ) -> np.ndarray:
     """Evaluate sum a_n X_n / n for many independent samples at once.
 
     coeff_columns has shape (N, C): column j holds the coefficients a_1..a_N
     of the j-th series.  Sample i uses seed seed0 + i.  Returns (samples, C).
-
-    X_n = X_core(n), so the weights a_n / n are folded onto squarefree
-    kernels and X is built on kernels only.
+    The seeds are hashed and summed _SERIES_BATCH at a time.
     """
     coeff_columns = np.atleast_2d(np.asarray(coeff_columns, dtype=np.float64))
     if coeff_columns.shape[0] != N:
         coeff_columns = coeff_columns.T
     layout = _kernel_layout(N)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    weights = np.column_stack([
-        np.bincount(layout.row_of[1:], weights=col / n, minlength=len(layout.spf_row))
-        for col in coeff_columns.T
-    ])
+    weights = _fold(coeff_columns, layout)
     out = np.empty((samples, weights.shape[1]))
-    for start in range(0, samples, batch):
-        seeds = np.arange(seed0 + start, seed0 + min(start + batch, samples))
-        x = _kernel_signs(prime_sign_matrix(seeds, layout.primes, force=force), layout)
-        acc = np.zeros((weights.shape[1], len(seeds)))
-        for r in range(0, len(x), _PRODUCT_ROWS):
-            acc += weights[r : r + _PRODUCT_ROWS].T @ x[r : r + _PRODUCT_ROWS].astype(np.float64)
-        out[start : start + len(seeds)] = acc.T
+    for start in range(0, samples, _SERIES_BATCH):
+        seeds = np.arange(seed0 + start, seed0 + min(start + _SERIES_BATCH, samples))
+        signs = prime_sign_matrix(seeds, layout.primes, force=force)
+        out[start : start + len(seeds)] = _series_sum(weights, signs, layout)
     return out
 
 
@@ -691,15 +719,19 @@ def squarefree_core(N: int) -> np.ndarray:
     return core
 
 
-def _kernel_weights(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Aggregate a_m/m onto squarefree kernels: X_m depends only on core(m)."""
-    N = len(coeffs)
-    core = squarefree_core(N)
-    v = np.zeros(N + 1)
-    v[1:] = coeffs / np.arange(1, N + 1)
-    w = np.bincount(core, weights=v)
-    support = np.nonzero(w)[0]
-    return support, w[support], w
+def _kernel_weights(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """a_m/m folded onto squarefree kernels: X_m depends only on core(m).
+
+    Returns the kernels d with w_d != 0 in increasing order, their w_d, w
+    indexed by d up to the largest kernel, and the prime factor above
+    sqrt(N) of each of those kernels (1 if it has none).
+    """
+    layout = _kernel_layout(len(coeffs))
+    w = np.bincount(layout.kernels, weights=_fold(coeffs[:, None], layout)[:, 0])
+    large = np.zeros(len(w), dtype=np.int64)
+    large[layout.kernels] = layout.large
+    support = np.flatnonzero(w)
+    return support, w[support], w, large[support]
 
 
 def moment_direct(coeffs: np.ndarray, k: int, cutoff: int | None = None) -> float:
@@ -747,10 +779,9 @@ def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
     j = np.arange(1, math.isqrt(N) + 1)
     out = {1: float(np.sum(coeffs[j * j - 1] / (j * j)))}
     if kmax >= 2:
-        support, weights, w_full = _kernel_weights(coeffs)
+        support, weights, w_full, large = _kernel_weights(coeffs)
         out[2] = float(np.sum(weights**2))
     if kmax >= 3:
-        large = _large_prime_part(N)[support]  # Q of each kernel, 1 if smooth
         order = np.argsort(large, kind="stable")  # by Q, then by d
         large = large[order]
         starts = np.flatnonzero(np.diff(large, prepend=0))
@@ -766,21 +797,6 @@ def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
             - 2 * np.dot(vals[~smooth], vals[~smooth])
         )
     return out
-
-
-def _large_prime_part(N: int) -> np.ndarray:
-    """big[n] = the prime factor of n above sqrt(N), or 1 if n has none.
-
-    An n <= N has at most one such factor, and only to the first power, so
-    dividing out every prime up to sqrt(N) leaves it.
-    """
-    big = np.arange(N + 1, dtype=np.int64)
-    for p in primes_up_to(math.isqrt(N)).tolist():
-        q = p
-        while q <= N:  # n with p^j | n is divided by p once per j
-            big[q::q] //= p
-            q *= p
-    return big
 
 
 def _xor_convolution(support: np.ndarray, weights: np.ndarray, starts: np.ndarray):

@@ -324,7 +324,7 @@ def empirical_distance(
     diff = CoefficientSpec(parity, alpha).coefficients(N) - CoefficientSpec(
         parity, beta
     ).coefficients(N)
-    _, weights, _ = _kernel_weights(diff)
+    weights = _kernel_weights(diff)[1]
     exact = float(np.sum(weights**2))
     values = sample_series_matrix(diff[:, None], N, samples, seed)[:, 0]
     sq = values**2

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from legsums import charsum
 from legsums.charsum import (
     alpha_cutoff,
-    build_qr_table,
     class_number_h,
     density_scan,
     density_sweep,
@@ -66,15 +65,14 @@ def test_alpha_cutoff_rejects_out_of_range():
 @given(p=odd_primes_st)
 def test_qr_table_full_sum_zero(p):
     # equally many residues and nonresidues in [1, p-1]
-    table = build_qr_table(p)
-    assert table.partial_sum(p - 1) == 0
+    assert legendre_sum(Fraction(p - 1, p), p) == 0
 
 
 @given(p=odd_primes_st, m=st.integers(0, 298))
 def test_qr_table_matches_jacobi_prefix(p, m):
+    # alpha = m/p has the cutoff m exactly, so every prefix is reachable
     m = m % p
-    table = build_qr_table(p)
-    assert table.partial_sum(m) == sum(jacobi(n, p) for n in range(1, m + 1))
+    assert legendre_sum(Fraction(m, p), p) == sum(jacobi(n, p) for n in range(1, m + 1))
 
 
 @given(p=odd_primes_st, num=st.integers(0, 40), den=st.integers(1, 41))
@@ -90,6 +88,12 @@ def test_legendre_sum_brute_force(p, num, den):
 def test_legendre_sum_p2_is_zero():
     assert legendre_sum(Fraction(1, 2), 2) == 0
     assert legendre_sum(0.999, 2) == 0
+
+
+@pytest.mark.parametrize("p", [9, 100, 561])
+def test_legendre_sum_rejects_non_prime(p):
+    with pytest.raises(ValueError, match="needs a prime"):
+        legendre_sum(Fraction(1, 3), p)
 
 
 def test_density_scan_alpha_zero_all_zero_sums():

@@ -181,6 +181,36 @@ def test_bad_numeric_input_exits_2(capsys, argv):
     assert argv[1] in captured.err
 
 
+@pytest.mark.parametrize("argv,flag,bad", [
+    (["density", "--alpha", "1/0", "--primes", "10"], "--alpha", "1/0"),
+    (["simulate", "--alpha", "1/0", "--samples", "10"], "--alpha", "1/0"),
+    (["moments", "--alpha", "1/0", "--parity", "minus"], "--alpha", "1/0"),
+    (["certify", "--alpha", "abc"], "--alpha", "abc"),
+    (["decompose", "--alpha", "1/0", "--parity", "plus"], "--alpha", "1/0"),
+    (["fourier-check", "--alpha", "2/5", "--p", "101", "--truncation", "0"], "--truncation", "0"),
+    (["moments", "--alpha", "1/3", "--parity", "minus", "--k", "5", "--cutoff", "0"],
+     "--cutoff", "0"),
+], ids=["density-1/0", "simulate-1/0", "moments-1/0", "certify-abc", "decompose-1/0",
+        "fourier-truncation0", "moments-cutoff0"])
+def test_bad_argument_is_a_usage_error(capsys, argv, flag, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err and repr(bad) in captured.err
+
+
+def test_fourier_check_composite_p_exits_2(capsys):
+    code = main(["fourier-check", "--alpha", "2/5", "--p", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "needs a prime, got 100" in lines[0]
+
+
 def test_decompose_table(capsys):
     code, out = run(capsys, "decompose", "--alpha", "1/4", "--parity", "minus")
     assert code == 0
@@ -189,8 +219,21 @@ def test_decompose_table(capsys):
 
 
 def test_decompose_unsupported(capsys):
-    with pytest.raises(Exception):
-        run(capsys, "decompose", "--alpha", "1/7", "--parity", "minus")
+    code = main(["decompose", "--alpha", "1/7", "--parity", "minus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "1/7" in lines[0] and "supported alphas: 0, 1/12" in lines[0]
+
+
+def test_decompose_reads_decimals_exactly(capsys):
+    # 0.2 is read as the fraction it spells, not as the binary float near it
+    _, decimal = run(capsys, "decompose", "--alpha", "0.2", "--parity", "plus")
+    _, fraction = run(capsys, "decompose", "--alpha", "1/5", "--parity", "plus")
+    assert decimal == fraction
+    assert "kappa_mod5" in decimal
 
 
 def test_moments_output(capsys):

@@ -315,13 +315,35 @@ def test_strict_fraction_excludes_the_zero_atom(alpha, strict):
 # --------------------------------------------------------------------------
 # Monte Carlo engine
 
-def test_sample_series_matrix_batch_invariance():
+def test_sample_series_matrix_batch_invariance(monkeypatch):
     c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(500)
-    a = sample_series_matrix(c[:, None], 500, 50, seed0=0, batch=7)
-    b = sample_series_matrix(c[:, None], 500, 50, seed0=0, batch=50)
-    c2 = sample_series_matrix(c[:, None], 500, 50, seed0=0, batch=7)
+
+    def run(batch):
+        monkeypatch.setattr(rm, "_SERIES_BATCH", batch)
+        return sample_series_matrix(c[:, None], 500, 50, seed0=0)
+
+    a, b, one, c2 = run(7), run(50), run(1), run(7)
     assert np.array_equal(a, c2)  # bit-identical under fixed batching
     assert np.allclose(a, b, atol=1e-12)  # batching only reorders float ops
+    assert np.allclose(a, one, atol=1e-12)
+
+
+@pytest.mark.parametrize("samples", [1000, 4000])
+def test_sample_series_matrix_memory_does_not_grow_with_samples(samples):
+    import tracemalloc
+
+    N = 10**5
+    cols = np.column_stack([
+        CoefficientSpec(parity, Fraction(1, 3)).coefficients(N) for parity in ("plus", "minus")
+    ])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample_series_matrix(cols, N, samples, seed0=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_sample_series_matrix_matches_trial_division():
@@ -384,6 +406,24 @@ def test_import_leaves_numpy_error_state_alone():
     src_dir = os.path.dirname(os.path.dirname(rm.__file__))
     env = {**os.environ, "PYTHONPATH": src_dir}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        sample_multiplicative(13),
+        MultiplicativeSample(seed=13, forced=((2, -1), (7, 1))),
+        lambda_twist(MultiplicativeSample(seed=13, forced=((3, 1),))),
+    ],
+    ids=["plain", "forced", "twisted"],
+)
+def test_series_eval_matches_trial_division(sample):
+    N = 600
+    x = [sample.x_of(n) for n in range(1, N + 1)]
+    for spec in (CoefficientSpec("plus", Fraction(1, 5)), CoefficientSpec("minus", Fraction(1, 3))):
+        a = spec.coefficients(N)
+        exact = math.fsum(a[n - 1] * x[n - 1] / n for n in range(1, N + 1))
+        assert series_eval(spec, sample, N) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_sample_series_matrix_matches_series_eval():
