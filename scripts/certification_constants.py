@@ -7,11 +7,12 @@ import argparse
 import math
 
 from legsums import tails
+from legsums.cli import _int_at_least
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--prime-cutoff", type=int, default=10**6)
+    parser.add_argument("--prime-cutoff", type=_int_at_least(100), default=10**6)
     args = parser.parse_args()
 
     partial, tail, total = tails.sigma2_one_third(args.prime_cutoff)

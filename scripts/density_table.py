@@ -10,6 +10,7 @@ import argparse
 from fractions import Fraction
 
 from legsums.charsum import density_sweep
+from legsums.cli import _int_at_least
 
 ALPHAS = [
     ("2/5", Fraction(2, 5)),
@@ -24,7 +25,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true",
                         help="include the 100000-prime row (slow)")
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=_int_at_least(1), default=4)
     args = parser.parse_args()
 
     sizes = [1000, 10000] + ([100000] if args.full else [])

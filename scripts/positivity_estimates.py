@@ -6,13 +6,14 @@ rational alphas, via Euler-product evaluation, plus the combined
 import argparse
 
 from legsums import randmodel as rm
+from legsums.cli import _int_at_least
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=10000)
+    parser.add_argument("--samples", type=_int_at_least(1), default=10000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--prime-cutoff", type=int, default=1000)
+    parser.add_argument("--prime-cutoff", type=_int_at_least(2), default=1000)
     args = parser.parse_args()
 
     print(f"{'alpha':>6} {'c+ (strict)':>12} {'c+ (>=0)':>10} "

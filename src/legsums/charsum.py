@@ -9,11 +9,8 @@ from a table of squares that a scan shares across its primes and alphas.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -111,82 +108,25 @@ def legendre_sum(alpha: Alpha, p: int) -> int:
 # --------------------------------------------------------------------------
 # density scans
 
-#: DensityReport's counters, in the order of DensityReport.counts.
-COUNTERS = (
-    "prime_count",
-    "nonneg_count",
-    "strict_pos_count",
-    "zero_count",
-    "nonneg_1mod4",
-    "nonneg_3mod4",
-    "strict_pos_1mod4",
-    "strict_pos_3mod4",
-)
-
-
-def _counter(i: int) -> property:
-    return property(lambda self: int(self.counts[i]), doc=f"counts[{i}]")
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class DensityReport:
     """Counts of primes with nonnegative / strictly positive partial sums.
 
     The scan covers the first ``prime_count`` primes including p = 2, whose
     partial sum is 0 by convention and therefore lands in zero_count; p = 2
     belongs to neither mod-4 class, so
-    nonneg_1mod4 + nonneg_3mod4 + (1 if p=2 scanned) == nonneg_count.
-    The counters are one int64 array, counts, in the order of COUNTERS.
+    nonneg_1mod4 + nonneg_3mod4 + 1 == nonneg_count.
     """
 
     alpha: Alpha
-    mode: str
-    counts: np.ndarray = field(default_factory=lambda: np.zeros(len(COUNTERS), dtype=np.int64))
-    includes_two: bool = False
-
-    prime_count = _counter(0)
-    nonneg_count = _counter(1)
-    strict_pos_count = _counter(2)
-    zero_count = _counter(3)
-    nonneg_1mod4 = _counter(4)
-    nonneg_3mod4 = _counter(5)
-    strict_pos_1mod4 = _counter(6)
-    strict_pos_3mod4 = _counter(7)
-
-    def __eq__(self, other):
-        if not isinstance(other, DensityReport):
-            return NotImplemented
-        return ((self.alpha, self.mode, self.includes_two)
-                == (other.alpha, other.mode, other.includes_two)
-                and np.array_equal(self.counts, other.counts))
-
-    @property
-    def count(self) -> int:
-        """The counter selected by the comparison mode."""
-        return self.nonneg_count if self.mode == "ge" else self.strict_pos_count
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha": str(self.alpha),
-            "primes": self.prime_count,
-            "nonneg": self.nonneg_count,
-            "strictpos": self.strict_pos_count,
-            "zero": self.zero_count,
-            "nonneg_1mod4": self.nonneg_1mod4,
-            "nonneg_3mod4": self.nonneg_3mod4,
-            "mode": self.mode,
-        }
-
-    def as_csv(self, header: bool = True) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(self.as_dict()), lineterminator="\n")
-        if header:
-            writer.writeheader()
-        writer.writerow(self.as_dict())
-        return buf.getvalue()
-
-    def as_json(self) -> str:
-        return json.dumps(self.as_dict())
+    prime_count: int
+    nonneg_count: int
+    strict_pos_count: int
+    zero_count: int
+    nonneg_1mod4: int
+    nonneg_3mod4: int
+    strict_pos_1mod4: int
+    strict_pos_3mod4: int
 
 
 def _scan_chunk(primes: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
@@ -209,28 +149,15 @@ def _scan_chunk(primes: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
     return np.array(sums, dtype=np.int64).T
 
 
-def _tally(sums: np.ndarray, mod4: np.ndarray) -> np.ndarray:
-    """The COUNTERS of one row of partial sums, with mod4 = primes % 4."""
+def _tally(alpha: Alpha, sums: np.ndarray, mod4: np.ndarray) -> DensityReport:
+    """The report of one row of partial sums, with mod4 = primes % 4."""
     nonneg, strict = sums >= 0, sums > 0
     one, three = mod4 == 1, mod4 == 3
-    return np.array([
-        len(sums),
-        np.count_nonzero(nonneg),
-        np.count_nonzero(strict),
-        np.count_nonzero(sums == 0),
-        np.count_nonzero(nonneg & one),
-        np.count_nonzero(nonneg & three),
-        np.count_nonzero(strict & one),
-        np.count_nonzero(strict & three),
-    ], dtype=np.int64)
+    masks = (nonneg, strict, sums == 0, nonneg & one, nonneg & three, strict & one, strict & three)
+    return DensityReport(alpha, len(sums), *(int(np.count_nonzero(m)) for m in masks))
 
 
-def density_sweep(
-    alphas,
-    sizes,
-    mode: str = "ge",
-    threads: int = 1,
-) -> list[list[DensityReport]]:
+def density_sweep(alphas, sizes, threads: int = 1) -> list[list[DensityReport]]:
     """Density reports for every alpha and every prime count, in one pass.
 
     The first max(sizes) primes are reduced once each; every alpha is
@@ -245,8 +172,6 @@ def density_sweep(
         raise ValueError("need at least one alpha and one prime count")
     if min(sizes) < 1:
         raise ValueError(f"prime counts must be >= 1, got {sizes}")
-    if mode not in ("ge", "gt"):
-        raise ValueError(f"mode must be 'ge' or 'gt', got {mode!r}")
     primes = first_primes(max(sizes))
     cutoffs = np.stack([alpha_cutoff(alpha, primes) for alpha in alphas])
     sums = np.empty(cutoffs.shape, dtype=np.int64)
@@ -265,26 +190,16 @@ def density_sweep(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(scan, spans))
     mod4 = primes % 4
-    return [
-        [DensityReport(alpha=alpha, mode=mode, counts=_tally(row[:n], mod4[:n]),
-                       includes_two=True)
-         for n in sizes]
-        for alpha, row in zip(alphas, sums)
-    ]
+    return [[_tally(alpha, row[:n], mod4[:n]) for n in sizes] for alpha, row in zip(alphas, sums)]
 
 
-def density_scan(
-    alpha: Alpha,
-    num_primes: int,
-    mode: str = "ge",
-    threads: int = 1,
-) -> DensityReport:
+def density_scan(alpha: Alpha, num_primes: int, threads: int = 1) -> DensityReport:
     """Scan the first num_primes primes, counting signs of the partial sums.
 
     A one-alpha, one-size density_sweep; the counts are independent of the
     thread count.
     """
-    return density_sweep([alpha], [num_primes], mode=mode, threads=threads)[0][0]
+    return density_sweep([alpha], [num_primes], threads=threads)[0][0]
 
 
 def class_number_h(p: int) -> int:

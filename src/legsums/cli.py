@@ -74,7 +74,13 @@ def _parsed(parse):
     return convert
 
 
-_alpha = _parsed(parse_alpha)
+def _alpha(text: str):
+    """An argparse type for --alpha: a fraction or decimal in [0, 1), else a
+    usage error (exit 2)."""
+    alpha = _parsed(parse_alpha)(text)
+    if not 0 <= alpha < 1:
+        raise argparse.ArgumentTypeError(f"expected alpha in [0, 1), got {text!r}")
+    return alpha
 
 
 # --------------------------------------------------------------------------
@@ -88,18 +94,21 @@ def _cmd_density(args) -> int:
         except argparse.ArgumentTypeError as exc:
             print(f"legsums: error: LEGSUMS_THREADS: {exc}", file=sys.stderr)
             return 2
-    try:
-        report = charsum.density_scan(args.alpha, args.primes, mode=args.mode, threads=threads)
-    except ValueError as exc:
-        print(f"legsums: error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        text = report.as_json()
-    else:
-        text = report.as_csv().rstrip("\n")
-    _emit(text, args.out)
-    if args.verify is not None and report.count != args.verify:
-        print(f"verify failed: expected {args.verify}, got {report.count}", file=sys.stderr)
+    report = charsum.density_scan(args.alpha, args.primes, threads=threads)
+    row = {
+        "alpha": str(report.alpha),
+        "primes": report.prime_count,
+        "nonneg": report.nonneg_count,
+        "strictpos": report.strict_pos_count,
+        "zero": report.zero_count,
+        "nonneg_1mod4": report.nonneg_1mod4,
+        "nonneg_3mod4": report.nonneg_3mod4,
+        "mode": args.mode,
+    }
+    _emit(json.dumps(row) if args.format == "json" else _rows_to_text([row], "csv"), args.out)
+    count = report.nonneg_count if args.mode == "ge" else report.strict_pos_count
+    if args.verify is not None and count != args.verify:
+        print(f"verify failed: expected {args.verify}, got {count}", file=sys.stderr)
         return 1
     return 0
 
@@ -146,12 +155,6 @@ def _cmd_fourier_check(args) -> int:
 def _cmd_simulate(args) -> int:
     parities = ["plus", "minus"] if args.parity == "both" else [args.parity]
     alpha = args.alpha
-    try:
-        if args.evaluator == "euler":
-            decomps = {parity: randmodel.decompose_rational(alpha, parity) for parity in parities}
-    except randmodel.UnsupportedAlphaError as exc:
-        print(f"legsums: error: {exc}", file=sys.stderr)
-        return 2
     if args.evaluator == "series":
         # one call hashes the signs and builds X once for every parity
         cols = np.column_stack([
@@ -159,17 +162,20 @@ def _cmd_simulate(args) -> int:
             for parity in parities
         ])
         values = randmodel.sample_series_matrix(cols, args.truncation, args.samples, args.seed)
-        estimates = {
-            parity: randmodel.PositivityEstimate.from_values(values[:, j])
-            for j, parity in enumerate(parities)
-        }
     else:
-        estimates = {
-            parity: randmodel.estimate_positivity(
-                decomp, samples=args.samples, seed=args.seed, prime_cutoff=args.prime_cutoff
-            )
-            for parity, decomp in decomps.items()
-        }
+        try:
+            decomps = [randmodel.decompose_rational(alpha, parity) for parity in parities]
+        except randmodel.UnsupportedAlphaError as exc:
+            print(f"legsums: error: {exc}", file=sys.stderr)
+            return 2
+        values = np.column_stack([
+            randmodel.euler_values_matrix(decomp, args.samples, args.seed, args.prime_cutoff)
+            for decomp in decomps
+        ])
+    estimates = {
+        parity: randmodel.PositivityEstimate.from_values(values[:, j])
+        for j, parity in enumerate(parities)
+    }
     rows = [
         {"alpha": str(alpha), "parity": parity, "evaluator": args.evaluator,
          "samples": est.n_samples, "strict_fraction": est.strict_fraction,
@@ -306,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="scan partial-sum signs over the first N primes")
     p.add_argument("--alpha", type=_alpha, required=True)
-    p.add_argument("--primes", type=int, required=True)
+    p.add_argument("--primes", type=_int_at_least(1), required=True)
     p.add_argument("--mode", choices=("ge", "gt"), default="ge")
     p.add_argument("--threads", type=_thread_count, default=None,
                    help="worker threads (default: $LEGSUMS_THREADS, else 1)")
@@ -334,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truncation", type=_int_at_least(1), default=100000)
-    p.add_argument("--prime-cutoff", type=int, default=1000)
+    p.add_argument("--prime-cutoff", type=_int_at_least(2), default=1000)
     p.add_argument("--evaluator", choices=("series", "euler"), default="euler")
     common(p)
     p.set_defaults(func=_cmd_simulate)

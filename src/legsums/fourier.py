@@ -97,6 +97,8 @@ def twisted_sum_check(alpha: Alpha, p: int, N: int) -> float:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"twisted_sum_check needs an odd prime, got {p}")
     a = float(alpha)
     n = np.arange(1, N + 1)
     chi = _legendre_values(p)[n % p].astype(np.float64)

@@ -27,15 +27,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes up to ``limit``, with residue-class-mod-4 counts."""
+    """All primes up to ``limit``."""
 
     limit: int
     primes: np.ndarray = field(repr=False)
-    count_1mod4: int
-    count_3mod4: int
-
-    def __len__(self) -> int:
-        return len(self.primes)
 
 
 def _sieve_array(limit: int) -> np.ndarray:
@@ -58,13 +53,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     mask = _sieve_array(limit)
     primes = np.nonzero(mask)[0].astype(np.int64)
     primes.setflags(write=False)
-    r = primes % 4
-    return PrimeTable(
-        limit=limit,
-        primes=primes,
-        count_1mod4=int(np.count_nonzero(r == 1)),
-        count_3mod4=int(np.count_nonzero(r == 3)),
-    )
+    return PrimeTable(limit=limit, primes=primes)
 
 
 # Lazily grown shared table, so "first N primes" scans don't re-sieve.
@@ -90,12 +79,7 @@ def _nth_prime_bound(n: int) -> int:
 
 def nth_prime(n: int) -> int:
     """The n-th prime in natural order (nth_prime(1) == 2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    table = _grown_to(_nth_prime_bound(n))
-    while len(table) < n:
-        table = _grown_to(table.limit * 2)
-    return int(table.primes[n - 1])
+    return int(first_primes(n)[-1])
 
 
 def first_primes(n: int) -> np.ndarray:
@@ -103,7 +87,7 @@ def first_primes(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     table = _grown_to(_nth_prime_bound(n))
-    while len(table) < n:
+    while len(table.primes) < n:
         table = _grown_to(table.limit * 2)
     return table.primes[:n]
 

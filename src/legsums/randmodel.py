@@ -576,9 +576,9 @@ def sample_series_matrix(
     of the j-th series.  Sample i uses seed seed0 + i.  Returns (samples, C).
     The seeds are hashed and summed _SERIES_BATCH at a time.
     """
-    coeff_columns = np.atleast_2d(np.asarray(coeff_columns, dtype=np.float64))
-    if coeff_columns.shape[0] != N:
-        coeff_columns = coeff_columns.T
+    coeff_columns = np.asarray(coeff_columns, dtype=np.float64)
+    if coeff_columns.ndim != 2 or coeff_columns.shape[0] != N:
+        raise ValueError(f"coeff_columns must have shape ({N}, C), got {coeff_columns.shape}")
     layout = _kernel_layout(N)
     weights = _fold(coeff_columns, layout)
     out = np.empty((samples, weights.shape[1]))
@@ -589,8 +589,16 @@ def sample_series_matrix(
     return out
 
 
+#: roundoff bound for the sign tests: Euler values that are exactly 0 (at
+#: 1/12 and 5/12 plus, whenever X_2 = X_3 = -1) come out as a few 1e-16
+_ZERO_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class PositivityEstimate:
+    """Strict (> 0) and nonnegative (>= 0) fractions of sampled values, both
+    up to _ZERO_TOL, since some alphas put positive mass at exactly zero."""
+
     n_samples: int
     strict_fraction: float
     nonneg_fraction: float
@@ -598,10 +606,10 @@ class PositivityEstimate:
     ci95_nonneg: float
 
     @staticmethod
-    def from_values(values: np.ndarray, tol: float = 1e-9) -> "PositivityEstimate":
+    def from_values(values: np.ndarray) -> "PositivityEstimate":
         n = len(values)
-        strict = float(np.count_nonzero(values > tol)) / n
-        nonneg = float(np.count_nonzero(values >= -tol)) / n
+        strict = float(np.count_nonzero(values > _ZERO_TOL)) / n
+        nonneg = float(np.count_nonzero(values >= -_ZERO_TOL)) / n
 
         def ci(p):
             return 1.96 * math.sqrt(max(p * (1 - p), 0.0) / n)
@@ -610,31 +618,15 @@ class PositivityEstimate:
 
 
 def estimate_positivity(
-    target: "CoefficientSpec | RationalDecomposition",
+    decomp: RationalDecomposition,
     samples: int,
     seed: int = 0,
-    truncation: int = 100_000,
     prime_cutoff: int = 1000,
-    evaluator: str = "euler",
-    tol: float = 1e-9,
 ) -> PositivityEstimate:
-    """Monte Carlo estimate of the positivity probability of the series.
-
-    'euler' (default, rational alpha only) evaluates via Euler products at
-    the prime cutoff; 'series' sums the first ``truncation`` terms directly.
-    Both strict (> 0) and tolerant (>= -tol) fractions are reported, since
-    some alphas put positive mass at exactly zero.
-    """
-    if evaluator == "euler":
-        if isinstance(target, CoefficientSpec):
-            target = decompose_rational(Fraction(target.alpha), target.parity)
-        values = euler_values_matrix(target, samples, seed, prime_cutoff)
-    elif evaluator == "series":
-        coeffs = target.coefficients(truncation)
-        values = sample_series_matrix(coeffs[:, None], truncation, samples, seed)[:, 0]
-    else:
-        raise ValueError(f"unknown evaluator {evaluator!r}")
-    return PositivityEstimate.from_values(values, tol=tol)
+    """Monte Carlo estimate of the positivity probability of the series: the
+    Euler evaluator (euler_values_matrix) at the prime cutoff, on seeds
+    seed .. seed+samples-1."""
+    return PositivityEstimate.from_values(euler_values_matrix(decomp, samples, seed, prime_cutoff))
 
 
 # --------------------------------------------------------------------------

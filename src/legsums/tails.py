@@ -16,7 +16,7 @@ import mpmath
 import numpy as np
 
 from .primes import primes_up_to
-from .randmodel import MultiplicativeSample, _kernel_weights
+from .randmodel import CoefficientSpec, MultiplicativeSample, moment_direct, sample_series_matrix
 
 __all__ = [
     "SubGaussianSeries",
@@ -319,13 +319,10 @@ def empirical_distance(
     exact_truncated groups indices by squarefree kernel (the double sum over
     nm = square); mc_estimate simulates the same truncation.
     """
-    from .randmodel import CoefficientSpec, sample_series_matrix
-
     diff = CoefficientSpec(parity, alpha).coefficients(N) - CoefficientSpec(
         parity, beta
     ).coefficients(N)
-    weights = _kernel_weights(diff)[1]
-    exact = float(np.sum(weights**2))
+    exact = moment_direct(diff, 2)
     values = sample_series_matrix(diff[:, None], N, samples, seed)[:, 0]
     sq = values**2
     return DistanceReport(

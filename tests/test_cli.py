@@ -47,11 +47,46 @@ def test_density_thread_invariance(capsys):
     assert a == b
 
 
-def test_density_out_file(tmp_path, capsys):
-    path = tmp_path / "scan.csv"
-    _, out = run(capsys, "density", "--alpha", "2/5", "--primes", "100",
-                 "--out", str(path))
-    assert path.read_text() == out
+def test_density_output_bytes_and_verify(capsys):
+    base = ["density", "--alpha", "2/5", "--primes", "1000"]
+    code, out = run(capsys, *base, "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"alpha": "2/5", "primes": 1000, "nonneg": 896, "strictpos": 879, "zero": 17, '
+        '"nonneg_1mod4": 391, "nonneg_3mod4": 504, "mode": "ge"}\n'
+    )
+    code, out = run(capsys, *base, "--mode", "gt")
+    assert code == 0
+    assert out == (
+        "alpha,primes,nonneg,strictpos,zero,nonneg_1mod4,nonneg_3mod4,mode\n"
+        "2/5,1000,896,879,17,391,504,gt\n"
+    )
+    # --verify reads the count the mode selects: nonneg for ge, strictpos for gt
+    for mode, count in (("ge", 896), ("gt", 879)):
+        for verify, expected_code in ((count, 0), (count - 1, 1)):
+            code = main(base + ["--mode", mode, "--verify", str(verify)])
+            captured = capsys.readouterr()
+            assert code == expected_code, (mode, verify)
+            assert captured.err == ("" if code == 0 else
+                                    f"verify failed: expected {verify}, got {count}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--alpha", "2/5", "--primes", "100"],
+    ["dirichlet", "--max-p", "100"],
+    ["fourier-check", "--alpha", "2/5", "--p", "101", "--truncation", "100"],
+    ["simulate", "--alpha", "1/3", "--samples", "50", "--prime-cutoff", "100"],
+    ["decompose", "--alpha", "1/4", "--parity", "minus"],
+    ["moments", "--alpha", "1/3", "--parity", "minus", "--truncation", "100",
+     "--samples", "50"],
+    ["certify", "--alpha", "1/3"],
+    ["constants"],
+], ids=lambda argv: argv[0])
+def test_out_file_matches_stdout(tmp_path, capsys, argv):
+    path = tmp_path / "out.txt"
+    code, out = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert out and path.read_text() == out
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -137,15 +172,6 @@ def test_bad_threads_env_exits_2(monkeypatch, capsys, value):
     assert "LEGSUMS_THREADS" in captured.err
 
 
-@pytest.mark.parametrize("alpha,primes", [("1.5", "10"), ("2/5", "0")])
-def test_density_out_of_range_exits_2(capsys, alpha, primes):
-    code = main(["density", "--alpha", alpha, "--primes", primes])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
-
-
 def test_bad_threads_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["density", "--alpha", "1/3", "--primes", "10", "--threads", "0"])
@@ -190,8 +216,17 @@ def test_bad_numeric_input_exits_2(capsys, argv):
     (["fourier-check", "--alpha", "2/5", "--p", "101", "--truncation", "0"], "--truncation", "0"),
     (["moments", "--alpha", "1/3", "--parity", "minus", "--k", "5", "--cutoff", "0"],
      "--cutoff", "0"),
+    (["density", "--alpha", "1.5", "--primes", "10"], "--alpha", "1.5"),
+    (["density", "--alpha", "2/5", "--primes", "0"], "--primes", "0"),
+    (["simulate", "--alpha", "1/3", "--prime-cutoff", "0"], "--prime-cutoff", "0"),
+    (["simulate", "--alpha", "1/3", "--prime-cutoff", "1"], "--prime-cutoff", "1"),
+    (["moments", "--alpha", "2", "--parity", "plus"], "--alpha", "2"),
+    (["simulate", "--evaluator", "series", "--alpha", "1.5"], "--alpha", "1.5"),
+    (["certify", "--alpha", "5"], "--alpha", "5"),
 ], ids=["density-1/0", "simulate-1/0", "moments-1/0", "certify-abc", "decompose-1/0",
-        "fourier-truncation0", "moments-cutoff0"])
+        "fourier-truncation0", "moments-cutoff0", "density-alpha1.5", "density-primes0",
+        "simulate-prime-cutoff0", "simulate-prime-cutoff1", "moments-alpha2",
+        "simulate-series-alpha1.5", "certify-alpha5"])
 def test_bad_argument_is_a_usage_error(capsys, argv, flag, bad):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -81,6 +81,12 @@ def test_twisted_sum_stays_below_log_scale():
         assert twisted_sum_check(alpha, p, 10000) < 5.0
 
 
+@pytest.mark.parametrize("p", [2, 9, 100])
+def test_twisted_sum_rejects_non_odd_prime(p):
+    with pytest.raises(ValueError, match="needs an odd prime"):
+        twisted_sum_check(0.3, p, 50)
+
+
 def test_twisted_sum_single_term():
     p = 7
     val = twisted_sum_check(0.2, p, 1)

