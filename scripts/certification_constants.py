@@ -5,19 +5,24 @@ under both printed and recomputed distance prefactors."""
 
 import argparse
 import math
+import sys
 
 from legsums import tails
 from legsums.cli import _int_at_least
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--prime-cutoff", type=_int_at_least(100), default=10**6)
     args = parser.parse_args()
 
-    partial, tail, total = tails.sigma2_one_third(args.prime_cutoff)
+    try:
+        partial, tail, total = tails.sigma2_one_third(args.prime_cutoff)
+    except ArithmeticError as exc:  # the cutoff is too small to certify the bound
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"sigma^2 partial {partial:.6f} + tail {tail:.2e} = {total:.6f} "
-          f"(< 0.395: {total < 0.395})")
+          f"(< {tails.SIGMA2}: {total < tails.SIGMA2})")
     zr = tails.zeta_ratio_check(10**5)
     print(f"zeta(4/3)^3/zeta(8/3) * 2^(4/3) = {zr.scaled:.4f} (< 92: {zr.below_92})")
     print(f"distance prefactor 92*(2pi)^(2/3) = "
@@ -31,7 +36,8 @@ def main() -> None:
         cr = tails.certify_neighborhood(1 / 3 + delta, constants="recomputed")
         mark = " <- certified radius" if delta == 2e-6 else ""
         print(f"{delta:>9.1e} {cp.c_lower:>17.4f} {cr.c_lower:>20.4f}{mark}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -23,13 +23,22 @@ from .charsum import parse_alpha
 from .primes import primes_up_to
 
 
+class _OutError(Exception):
+    """--out names a path that cannot be written (a usage error, exit 2)."""
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
+    """Write text to --out first, then to stdout, so a path that cannot be
+    written leaves stdout empty."""
     if not text.endswith("\n"):
-        sys.stdout.write("\n")
+        text += "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutError(f"--out {out_path}: {exc.strerror}") from None
+    sys.stdout.write(text)
 
 
 def _rows_to_text(rows: list[dict], fmt: str) -> str:
@@ -262,22 +271,20 @@ def _cmd_constants(args) -> int:
     xi = randmodel.xi_statistics(10**5)
     d1 = tails.distance_bound(2 * math.pi, 1, 1)
     delta = 2e-6
-    opt_m_printed = tails.optimize_u(tails.SIGMA2, tails.PRINTED[0] * delta ** (2 / 3))
-    opt_p_printed = tails.optimize_u(tails.SIGMA2, tails.PRINTED[1] * delta ** (2 / 3))
     cert_p = tails.certify_neighborhood(1 / 3 + delta, constants="printed")
     cert_r = tails.certify_neighborhood(1 / 3 + delta, constants="recomputed")
     rows = [
-        {"constant": "sigma2 (sign variance bound)", "recomputed": total, "printed": 0.395},
+        {"constant": "sigma2 (sign variance bound)", "recomputed": total, "printed": tails.SIGMA2},
         {"constant": "zeta(4/3)^3/zeta(8/3) * 2^(4/3)", "recomputed": zr.scaled, "printed": 92.0},
-        {"constant": "distance prefactor at L=2pi, C=1", "recomputed": d1, "printed": 313.3},
-        {"constant": "minus-series prefactor", "recomputed": tails.RECOMPUTED[0], "printed": 94.0},
-        {"constant": "plus-series prefactor", "recomputed": tails.RECOMPUTED[1], "printed": 282.0},
+        {"constant": "distance prefactor at L=2pi, C=1", "recomputed": d1, "printed": tails.SPECIALIZED_313},
+        {"constant": "minus-series prefactor", "recomputed": tails.RECOMPUTED[0], "printed": tails.PRINTED[0]},
+        {"constant": "plus-series prefactor", "recomputed": tails.RECOMPUTED[1], "printed": tails.PRINTED[1]},
         {"constant": "D_minus at delta=2e-6", "recomputed": cert_r.d_minus, "printed": 0.015},
         {"constant": "D_plus at delta=2e-6", "recomputed": cert_r.d_plus, "printed": 0.0447},
-        {"constant": "u_minus", "recomputed": opt_m_printed.u, "printed": 0.0756},
-        {"constant": "u_plus", "recomputed": opt_p_printed.u, "printed": 0.12957},
-        {"constant": "neg-probability bound (minus)", "recomputed": opt_m_printed.value, "printed": 0.32},
-        {"constant": "neg-probability bound (plus)", "recomputed": opt_p_printed.value, "printed": 0.612},
+        {"constant": "u_minus", "recomputed": cert_p.u_minus, "printed": 0.0756},
+        {"constant": "u_plus", "recomputed": cert_p.u_plus, "printed": 0.12957},
+        {"constant": "neg-probability bound (minus)", "recomputed": cert_p.p_neg_minus, "printed": 0.32},
+        {"constant": "neg-probability bound (plus)", "recomputed": cert_p.p_neg_plus, "printed": 0.612},
         {"constant": "c_lower (printed prefactors)", "recomputed": cert_p.c_lower, "printed": 0.534},
         {"constant": "c_lower (recomputed prefactors)", "recomputed": cert_r.c_lower, "printed": 0.534},
         {"constant": "quintic angle variance", "recomputed": xi.variance, "printed": 0.35355},
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("dirichlet", help="half-length sum vs class-number formula")
-    p.add_argument("--max-p", type=int, default=2000)
+    p.add_argument("--max-p", type=_int_at_least(3), default=2000)
     p.add_argument("--all", action="store_true", help="print every prime's row")
     common(p)
     p.set_defaults(func=_cmd_dirichlet)
@@ -381,7 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _OutError as exc:
+        print(f"legsums: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

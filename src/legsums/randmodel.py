@@ -278,90 +278,75 @@ class RationalDecomposition:
         return out
 
 
-_DECOMPOSITIONS: dict[tuple[Fraction, str], tuple[Term, ...]] = {
-    (Fraction(0), "plus"): (),
-    (Fraction(0), "minus"): (),
-    (Fraction(1, 2), "plus"): (),
-    (Fraction(1, 2), "minus"): (Term(2, CHI_0_2),),
-    (Fraction(1, 3), "plus"): (Term(_SQ3_2, LEG3),),
-    (Fraction(1, 3), "minus"): (Term(1.5, CHI_0_3),),
-    (Fraction(1, 4), "plus"): (Term(1, CHI4),),
-    (Fraction(1, 4), "minus"): (Term(1, CHI_0_2), Term(2, CHI_0_2, 2)),
-    (Fraction(1, 6), "plus"): (Term(_SQ3_2, CHI6), Term(_SQ3_2, LEG3, 2)),
-    (Fraction(1, 6), "minus"): (
+#: the 1/q rows, keyed by (q, parity); b/q follows in decompose_rational
+_DECOMPOSITIONS: dict[tuple[int, str], tuple[Term, ...]] = {
+    (1, "plus"): (),
+    (1, "minus"): (),
+    (2, "plus"): (),
+    (2, "minus"): (Term(2, CHI_0_2),),
+    (3, "plus"): (Term(_SQ3_2, LEG3),),
+    (3, "minus"): (Term(1.5, CHI_0_3),),
+    (4, "plus"): (Term(1, CHI4),),
+    (4, "minus"): (Term(1, CHI_0_2), Term(2, CHI_0_2, 2)),
+    (6, "plus"): (Term(_SQ3_2, CHI6), Term(_SQ3_2, LEG3, 2)),
+    (6, "minus"): (
         Term(2, CHI_0_2, 3),
         Term(0.5, CHI_0_3),
         Term(1, CHI_0_3, 2),
     ),
-    (Fraction(1, 8), "plus"): (Term(_SQ2_2, KRON_M2), Term(1, CHI4, 2)),
-    (Fraction(1, 8), "minus"): (
+    (8, "plus"): (Term(_SQ2_2, KRON_M2), Term(1, CHI4, 2)),
+    (8, "minus"): (
         Term(1, CHI_0_2),
         Term(1, CHI_0_2, 2),
         Term(2, CHI_0_2, 4),
         Term(-_SQ2_2, KRON_P2),
     ),
-    (Fraction(3, 8), "plus"): (Term(_SQ2_2, KRON_M2), Term(-1, CHI4, 2)),
-    (Fraction(3, 8), "minus"): (
-        Term(1, CHI_0_2),
-        Term(1, CHI_0_2, 2),
-        Term(2, CHI_0_2, 4),
-        Term(_SQ2_2, KRON_P2),
-    ),
-    (Fraction(1, 12), "plus"): (
+    (12, "plus"): (
         Term(0.5, CHI12),
         Term(_SQ3_2, CHI6, 2),
         Term(1, CHI4, 3),
         Term(_SQ3_2, LEG3, 4),
     ),
-    (Fraction(1, 12), "minus"): (
+    (12, "minus"): (
         Term(-_SQ3_2, KRON12),
         Term(1, CHI_0_2),
         Term(0.5, CHI_0_6, 2),
         Term(1.5, CHI_0_3, 4),
         Term(2, CHI_0_2, 6),
     ),
-    (Fraction(5, 12), "plus"): (
-        Term(0.5, CHI12),
-        Term(-_SQ3_2, CHI6, 2),
-        Term(1, CHI4, 3),
-        Term(-_SQ3_2, LEG3, 4),
-    ),
-    (Fraction(5, 12), "minus"): (
-        Term(_SQ3_2, KRON12),
-        Term(1, CHI_0_2),
-        Term(0.5, CHI_0_6, 2),
-        Term(1.5, CHI_0_3, 4),
-        Term(2, CHI_0_2, 6),
-    ),
-    (Fraction(1, 5), "plus"): (
+    (5, "plus"): (
         Term((QUINTIC_A - 1j * QUINTIC_B) / 2, KAPPA),
         Term((QUINTIC_A + 1j * QUINTIC_B) / 2, KAPPA_BAR),
     ),
     # NB: the coefficient pair here is (5/4, sqrt(5)/4); that is what the
     # listed one-period values force (solve at n = 1, 2).
-    (Fraction(1, 5), "minus"): (Term(1.25, CHI_0_5), Term(-math.sqrt(5) / 4, LEG5)),
-    (Fraction(2, 5), "plus"): (
-        Term((QUINTIC_B + 1j * QUINTIC_A) / 2, KAPPA),
-        Term((QUINTIC_B - 1j * QUINTIC_A) / 2, KAPPA_BAR),
-    ),
-    (Fraction(2, 5), "minus"): (Term(1.25, CHI_0_5), Term(math.sqrt(5) / 4, LEG5)),
+    (5, "minus"): (Term(1.25, CHI_0_5), Term(-math.sqrt(5) / 4, LEG5)),
 }
 
-SUPPORTED_ALPHAS = sorted({a for a, _ in _DECOMPOSITIONS})
+SUPPORTED_ALPHAS = sorted({
+    Fraction(b, q) for q, _ in _DECOMPOSITIONS for b in range(q // 2 + 1) if math.gcd(b, q) == 1
+})
 
 
 def decompose_rational(alpha: Fraction | str, parity: str) -> RationalDecomposition:
-    """Expand a_n^{±}(alpha) into dilated periodic multiplicative terms."""
-    if isinstance(alpha, str):
-        alpha = Fraction(alpha)
+    """Expand a_n^{±}(alpha) into dilated periodic multiplicative terms.
+
+    Only the 1/q rows are tabulated: a_n(b/q) = a_{bn}(1/q), and every
+    dilation d of a 1/q row divides q while gcd(b, q) = 1, so d | bn iff
+    d | n and chi(bn/d) = chi(b) chi(n/d).  The b/q row is thus the 1/q
+    row with each coefficient times chi(b), a value in {±1, ±i}, so the
+    product is exact.
+    """
     alpha = Fraction(alpha)
-    key = (alpha, parity)
-    if key not in _DECOMPOSITIONS:
+    if alpha not in SUPPORTED_ALPHAS or (alpha.denominator, parity) not in _DECOMPOSITIONS:
         raise UnsupportedAlphaError(
             f"no decomposition for alpha={alpha}, parity={parity}; supported "
             f"alphas: {', '.join(str(a) for a in SUPPORTED_ALPHAS)}"
         )
-    return RationalDecomposition(alpha=alpha, parity=parity, terms=_DECOMPOSITIONS[key])
+    b = alpha.numerator
+    terms = tuple(replace(t, coeff=t.coeff * t.chi.at(b))
+                  for t in _DECOMPOSITIONS[alpha.denominator, parity])
+    return RationalDecomposition(alpha=alpha, parity=parity, terms=terms)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ every alpha in a small neighborhood of 1/3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import mpmath
 import numpy as np
@@ -102,9 +102,14 @@ class UOptimum:
 def optimize_u(sigma2: float, D: float) -> UOptimum:
     """Minimize u -> negativity_bound(sigma2, D, u) over (0, 1).
 
-    Golden-section in ln(u) after a grid pre-scan (the objective is unimodal
-    in ln(u) in the useful regime).  D = 0 gives the limit optimum (0, 0);
-    D >= 1 is flagged degenerate since the bound cannot dip below 1.
+    With s = -ln(u) the bound falls in s exactly where
+    h(s) = ln(s / (4 sigma2)) - s^2 / (8 sigma2) - s exceeds ln(D).  h is
+    strictly concave (h'' = -1/s^2 - 1/(4 sigma2)) and peaks at
+    s* = 2 sqrt(sigma2 (sigma2 + 1)) - 2 sigma2, so the only interior
+    minimum is the root of h = ln(D) above s*, found by bisection to the
+    last float.  If h(s*) <= ln(D) the bound only grows with s; u = exp(-s*)
+    is returned, and its value >= 1 flags it degenerate.  D = 0 gives the
+    limit optimum (0, 0).
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
@@ -113,30 +118,18 @@ def optimize_u(sigma2: float, D: float) -> UOptimum:
     if D == 0:
         return UOptimum(u=0.0, value=0.0, degenerate=True)
 
-    def f(lu: float) -> float:
-        return negativity_bound(sigma2, D, math.exp(lu))
+    def falls(s: float) -> bool:
+        return math.log(s / (4 * sigma2)) - s * s / (8 * sigma2) - s > math.log(D)
 
-    lo, hi = math.log(1e-9), math.log(1 - 1e-6)
-    grid = np.linspace(lo, hi, 400)
-    vals = [f(x) for x in grid]
-    i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5) - 1) / 2
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-7:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    lu = (a + b) / 2
-    u = math.exp(lu)
-    value = f(lu)
+    lo = 2 * math.sqrt(sigma2 * (sigma2 + 1)) - 2 * sigma2
+    if falls(lo):
+        hi = 2 * lo
+        while falls(hi):
+            lo, hi = hi, 2 * hi
+        while lo < (mid := (lo + hi) / 2) < hi:
+            lo, hi = (mid, hi) if falls(mid) else (lo, mid)
+    u = math.exp(-lo)
+    value = negativity_bound(sigma2, D, u)
     return UOptimum(u=u, value=value, degenerate=value >= 1)
 
 
@@ -357,18 +350,11 @@ class CertificationReport:
     degenerate: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "d_minus": self.d_minus,
-            "d_plus": self.d_plus,
-            "u_minus": self.u_minus,
-            "u_plus": self.u_plus,
-            "p_neg_minus": self.p_neg_minus,
-            "p_neg_plus": self.p_neg_plus,
-            "c_lower": self.c_lower,
-            "certified": self.certified,
-        }
+        """The certificate's fields without the constants label and the
+        degenerate flag."""
+        out = asdict(self)
+        del out["constants"], out["degenerate"]
+        return out
 
 
 def certify_neighborhood(alpha: float, constants: str = "printed") -> CertificationReport:

@@ -89,6 +89,20 @@ def test_out_file_matches_stdout(tmp_path, capsys, argv):
     assert out and path.read_text() == out
 
 
+@pytest.mark.parametrize("argv,target", [
+    (["constants"], "missing/x.csv"),
+    (["density", "--alpha", "2/5", "--primes", "100"], "."),
+], ids=["missing-dir", "is-a-directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target):
+    path = tmp_path / target
+    code = main(argv + ["--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"legsums: error: --out {path}")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -223,10 +237,14 @@ def test_bad_numeric_input_exits_2(capsys, argv):
     (["moments", "--alpha", "2", "--parity", "plus"], "--alpha", "2"),
     (["simulate", "--evaluator", "series", "--alpha", "1.5"], "--alpha", "1.5"),
     (["certify", "--alpha", "5"], "--alpha", "5"),
+    (["dirichlet", "--max-p", "2", "--all"], "--max-p", "2"),
+    (["dirichlet", "--max-p", "0"], "--max-p", "0"),
+    (["dirichlet", "--max-p", "-5"], "--max-p", "-5"),
 ], ids=["density-1/0", "simulate-1/0", "moments-1/0", "certify-abc", "decompose-1/0",
         "fourier-truncation0", "moments-cutoff0", "density-alpha1.5", "density-primes0",
         "simulate-prime-cutoff0", "simulate-prime-cutoff1", "moments-alpha2",
-        "simulate-series-alpha1.5", "certify-alpha5"])
+        "simulate-series-alpha1.5", "certify-alpha5", "dirichlet-max-p2",
+        "dirichlet-max-p0", "dirichlet-max-p-5"])
 def test_bad_argument_is_a_usage_error(capsys, argv, flag, bad):
     with pytest.raises(SystemExit) as exc:
         main(argv)

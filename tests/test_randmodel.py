@@ -28,7 +28,7 @@ from legsums.randmodel import (
     xi_statistics,
 )
 
-SUPPORTED = list(rm._DECOMPOSITIONS)
+SUPPORTED = [(alpha, parity) for alpha in rm.SUPPORTED_ALPHAS for parity in ("plus", "minus")]
 
 
 def all_plus_sample(limit: int = 10**6) -> MultiplicativeSample:
@@ -119,6 +119,23 @@ def test_unsupported_alpha_raises():
         decompose_rational(Fraction(1, 7), "plus")
     with pytest.raises(UnsupportedAlphaError):
         decompose_rational(Fraction(3, 5), "minus")
+
+
+def test_supported_alphas_are_the_papers():
+    # every rational in [0, 1/2] whose denominator is in {1,2,3,4,5,6,8,12}
+    papers = sorted({Fraction(b, q) for q in (1, 2, 3, 4, 5, 6, 8, 12)
+                     for b in range(q + 1) if Fraction(b, q) <= Fraction(1, 2)})
+    assert rm.SUPPORTED_ALPHAS == papers
+    assert len(SUPPORTED) == 22
+
+
+def test_decompose_parses_strings_and_rejects_the_rest():
+    assert decompose_rational("3/8", "minus") == decompose_rational(Fraction(3, 8), "minus")
+    for alpha in ("7/12", "1/7", 0.2, Fraction(-1, 3)):
+        with pytest.raises(UnsupportedAlphaError):
+            decompose_rational(alpha, "plus")
+    with pytest.raises(UnsupportedAlphaError):
+        decompose_rational(Fraction(1, 3), "neither")
 
 
 def test_kappa_pinned_values():

@@ -44,6 +44,14 @@ def test_certification_constants_script_runs():
     assert "<- certified radius" in proc.stdout
 
 
+def test_certification_constants_small_cutoff_fails_cleanly():
+    # below 1340 the partial sum plus its tail is not below sigma2 = 0.395
+    proc = run_script("certification_constants.py", "--prime-cutoff", "1000", code=1)
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: variance bound violated")
+
+
 @pytest.mark.parametrize("name,flag,bad", [
     ("positivity_estimates.py", "--samples", "0"),
     ("positivity_estimates.py", "--prime-cutoff", "0"),

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -96,6 +97,41 @@ def test_optimize_u_small_D_limit():
 
 def test_optimize_u_degenerate_flag():
     assert optimize_u(0.395, 5.0).degenerate
+
+
+def _mp_min_negativity_bound(sigma2, D):
+    """(u, value) at the interior minimum of negativity_bound, to 30 digits:
+    a grid in s = -ln(u), then a bracketed root of the log-derivative."""
+    with mpmath.workdps(30):
+        s2, D = mpmath.mpf(sigma2), mpmath.mpf(D)
+
+        def f(s):
+            return mpmath.exp(-s * s / (8 * s2)) + D * mpmath.exp(s)
+
+        def df(s):
+            return -s / (4 * s2) * mpmath.exp(-s * s / (8 * s2)) + D * mpmath.exp(s)
+
+        step = mpmath.mpf(1) / 20
+        s0 = min((k * step for k in range(1, 1601)), key=f)
+        s = mpmath.findroot(lambda s: df(s) / f(s), (s0 - step, s0 + step), solver="anderson")
+        return mpmath.exp(-s), f(s)
+
+
+@pytest.mark.parametrize("D", [1e-200, 1e-30, 1e-8, 1e-4, 0.015, 0.0447, 0.1])
+def test_optimize_u_matches_mpmath_minimum(D):
+    opt = optimize_u(0.395, D)
+    u, value = _mp_min_negativity_bound(0.395, D)
+    assert abs(opt.u - u) <= 1e-12 * u
+    assert abs(opt.value - value) <= 1e-12 * value
+    assert not opt.degenerate
+
+
+@pytest.mark.parametrize("D", [0.3, 5.0])
+def test_optimize_u_without_interior_minimum_is_degenerate(D):
+    opt = optimize_u(0.395, D)
+    assert 0 < opt.u < 1
+    assert opt.value >= 1
+    assert opt.degenerate
 
 
 # --------------------------------------------------------------------------
