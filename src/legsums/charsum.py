@@ -9,6 +9,7 @@ from a table of squares that a scan shares across its primes and alphas.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,7 +188,8 @@ def density_sweep(alphas, sizes, threads: int = 1) -> list[list[DensityReport]]:
     if threads <= 1:
         scan(spans[0])
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # a worker beyond the usable cores adds an OS thread and no speed
+        with ThreadPoolExecutor(max_workers=min(threads, len(os.sched_getaffinity(0)))) as pool:
             list(pool.map(scan, spans))
     mod4 = primes % 4
     return [[_tally(alpha, row[:n], mod4[:n]) for n in sizes] for alpha, row in zip(alphas, sums)]

@@ -11,6 +11,7 @@ import numpy as np
 
 from .charsum import Alpha, _quadratic_residues
 from .primes import is_prime
+from .randmodel import CoefficientSpec
 
 __all__ = [
     "BoundaryAlphaError",
@@ -70,22 +71,18 @@ def _check_not_boundary(alpha: Alpha, p: int) -> None:
 def fourier_partial(alpha: Alpha, p: int, M: int) -> float:
     """Truncated Fourier reconstruction of the Legendre partial sum.
 
-    The +m/-m terms are paired analytically, which turns the series into a
-    pure sine series for p ≡ 1 (mod 4) and a (1 - cos) series for
-    p ≡ 3 (mod 4); the truncation is then exactly real.
+    The +m/-m terms are paired analytically, which turns the series into the
+    model's sine coefficients (CoefficientSpec 'plus') for p ≡ 1 (mod 4) and
+    its 1 - cos ones ('minus') for p ≡ 3 (mod 4); the truncation is real.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     if p == 2 or not is_prime(p):
         raise ValueError(f"fourier_partial needs an odd prime, got {p}")
     _check_not_boundary(alpha, p)
-    a = float(alpha)
     m = np.arange(1, M + 1)
     chi = _legendre_values(p)[m % p].astype(np.float64)
-    if p % 4 == 1:
-        terms = np.sin(2 * math.pi * a * m) / m
-    else:
-        terms = (1 - np.cos(2 * math.pi * a * m)) / m
+    terms = CoefficientSpec("plus" if p % 4 == 1 else "minus", alpha).coefficients(M) / m
     return math.sqrt(p) / math.pi * float(np.dot(terms, chi))
 
 

@@ -1,9 +1,12 @@
 """Random completely multiplicative ±1 sequences and the associated series.
 
-A sample assigns an independent fair ±1 sign to every prime via a
-counter-based hash of (seed, prime), so any X_p is computable on its own and
-Monte Carlo runs are reproducible regardless of evaluation order or thread
-count.  X_n extends the prime signs completely multiplicatively.
+A sample is one seed's row of the sign block `prime_sign_matrix`: an
+independent fair ±1 sign for every prime from a counter-based hash of
+(seed, prime), so any X_p is computable on its own and Monte Carlo runs are
+reproducible regardless of evaluation order or thread count.  X_n extends
+the prime signs completely multiplicatively.  An altered sample (pinned
+signs, or the Liouville twist X_n -> lambda(n) X_n, which is the negated
+row) is a plain int8 row on the same primes.
 
 For the sine / (1 - cosine) coefficient families at the supported rational
 alphas, the coefficient sequence decomposes into finitely many dilated
@@ -23,18 +26,12 @@ import numpy as np
 from .primes import primes_up_to
 
 __all__ = [
-    "MultiplicativeSample",
     "CoefficientSpec",
     "CharTable",
     "Term",
     "RationalDecomposition",
     "UnsupportedAlphaError",
-    "sample_multiplicative",
-    "lambda_twist",
     "decompose_rational",
-    "series_eval",
-    "euler_eval",
-    "euler_product",
     "estimate_positivity",
     "PositivityEstimate",
     "sample_series_matrix",
@@ -69,12 +66,7 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def prime_sign_matrix(
-    seeds: np.ndarray,
-    primes: np.ndarray,
-    force: dict[int, int] | None = None,
-    negate: bool = False,
-) -> np.ndarray:
+def prime_sign_matrix(seeds: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """int8 matrix of X_p signs, rows indexed by seed, columns by prime."""
     hs = _splitmix64(np.array(seeds, dtype=np.uint64))
     hp = _splitmix64(np.array(primes, dtype=np.uint64))
@@ -86,69 +78,7 @@ def prime_sign_matrix(
         signs[i : i + rows] = h  # the sign bit, 0 or 1
     signs *= np.int8(-2)
     signs += np.int8(1)
-    if force:
-        plist = np.asarray(primes)
-        for p, s in force.items():
-            signs[:, plist == p] = np.int8(s)
-    if negate:
-        signs = -signs
     return signs
-
-
-@dataclass(frozen=True)
-class MultiplicativeSample:
-    """One realization of the random sign sequence, reproducible from seed.
-
-    ``forced`` pins specific prime signs (for conditioning); ``negated``
-    flips every prime sign (the Liouville twist).
-    """
-
-    seed: int
-    forced: tuple[tuple[int, int], ...] = ()
-    negated: bool = False
-
-    def signs_for_primes(self, primes: np.ndarray) -> np.ndarray:
-        return prime_sign_matrix(
-            np.array([self.seed]), primes, force=dict(self.forced), negate=self.negated
-        )[0]
-
-    def sign_at_prime(self, p: int) -> int:
-        return int(self.signs_for_primes(np.array([p], dtype=np.int64))[0])
-
-    def x_of(self, n: int) -> int:
-        """X_n by trial division (fine for scattered lookups)."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        sign = 1
-        for p in primes_up_to(math.isqrt(n)).tolist():
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                if e % 2 == 1:
-                    sign *= self.sign_at_prime(p)
-            if n == 1:
-                break
-        if n > 1:
-            sign *= self.sign_at_prime(n)
-        return sign
-
-    def signs_up_to(self, N: int) -> np.ndarray:
-        """int8 array s with s[n] = X_n for 0 <= n <= N (s[0] unused, = 1)."""
-        layout = _kernel_layout(N)
-        x = _kernel_signs(self.signs_for_primes(layout.primes)[None, :], layout)
-        return x[layout.row_of, 0]
-
-
-def sample_multiplicative(seed: int) -> MultiplicativeSample:
-    return MultiplicativeSample(seed=seed)
-
-
-def lambda_twist(sample: MultiplicativeSample) -> MultiplicativeSample:
-    """Flip every prime sign (X_n -> lambda(n) X_n); an involution that
-    preserves the distribution of the whole sequence."""
-    return replace(sample, negated=not sample.negated)
 
 
 # --------------------------------------------------------------------------
@@ -170,21 +100,6 @@ class CoefficientSpec:
         n = np.arange(1, N + 1)
         theta = 2 * math.pi * float(self.alpha) * n
         return np.sin(theta) if self.parity == "plus" else 1 - np.cos(theta)
-
-
-def series_eval(
-    spec: "CoefficientSpec | RationalDecomposition",
-    sample: MultiplicativeSample,
-    N: int,
-) -> float:
-    """Direct truncated series sum_{n<=N} a_n X_n / n: the series engine on
-    the one row of the sample's own prime signs."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    layout = _kernel_layout(N)
-    weights = _fold(spec.coefficients(N)[:, None], layout)
-    signs = sample.signs_for_primes(layout.primes)[None, :]
-    return float(_series_sum(weights, signs, layout)[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -352,38 +267,16 @@ def decompose_rational(alpha: Fraction | str, parity: str) -> RationalDecomposit
 # --------------------------------------------------------------------------
 # Euler-product evaluation
 
-def euler_product(
-    chi: CharTable,
-    sample: MultiplicativeSample,
-    prime_cutoff: int,
-) -> complex:
-    """prod_{p <= P} (1 - chi(p) X_p / p)^{-1}; primes with chi(p) = 0 drop
-    out."""
-    primes = primes_up_to(prime_cutoff)
-    signs = sample.signs_for_primes(primes)[None, :]
-    return complex(_euler_sum((Term(1, chi),), signs, primes, prime_cutoff)[0])
-
-
-def euler_eval(
-    decomp: RationalDecomposition,
-    sample: MultiplicativeSample,
-    prime_cutoff: int = 1000,
-) -> float:
-    """Evaluate the series through its Euler products, truncated at the
-    prime cutoff.  Sign identities that hold for the infinite object hold
-    here exactly (up to roundoff) at every cutoff."""
-    primes = primes_up_to(_sign_limit(decomp, prime_cutoff))
-    signs = sample.signs_for_primes(primes)[None, :]
-    return float(_euler_sum(decomp.terms, signs, primes, prime_cutoff)[0].real)
-
-
 def euler_values_matrix(
     decomp: RationalDecomposition,
     samples: int,
     seed0: int = 0,
     prime_cutoff: int = 1000,
 ) -> np.ndarray:
-    """euler_eval for seeds seed0 .. seed0+samples-1, vectorized."""
+    """The series of decomp through its Euler products truncated at the
+    prime cutoff, for seeds seed0 .. seed0+samples-1.  Sign identities that
+    hold for the infinite object hold here exactly (up to roundoff) at every
+    cutoff."""
     limit = _sign_limit(decomp, prime_cutoff)
     signs = _shared_signs(int(seed0), int(samples), limit)
     return _euler_sum(decomp.terms, signs, primes_up_to(limit), prime_cutoff).real
@@ -553,7 +446,6 @@ def sample_series_matrix(
     N: int,
     samples: int,
     seed0: int = 0,
-    force: dict[int, int] | None = None,
 ) -> np.ndarray:
     """Evaluate sum a_n X_n / n for many independent samples at once.
 
@@ -569,7 +461,7 @@ def sample_series_matrix(
     out = np.empty((samples, weights.shape[1]))
     for start in range(0, samples, _SERIES_BATCH):
         seeds = np.arange(seed0 + start, seed0 + min(start + _SERIES_BATCH, samples))
-        signs = prime_sign_matrix(seeds, layout.primes, force=force)
+        signs = prime_sign_matrix(seeds, layout.primes)
         out[start : start + len(seeds)] = _series_sum(weights, signs, layout)
     return out
 
@@ -633,16 +525,24 @@ def conditional_mean_1_8(
 ) -> ConditionalMeanReport:
     """Mean of the alpha = 1/8 sine series conditioned on X_2 = forced_sign.
 
+    With n = 2^j m, m odd, X_n = forced_sign^j X_m, so the conditioned
+    series is sum over odd m of b_m X_m / m with
+    b_m = sum_j a_{2^j m} (forced_sign / 2)^j, which the series engine
+    samples on its own seeds.
+
     The recomputed closed form for X_2 = -1 is
     (sqrt(2) - 1)/2 * sum over odd n of 1/n^2 = (sqrt(2) - 1) pi^2 / 16;
     the printed value (sqrt(2) - 1) pi^2 / 18 uses pi^2/9 for that odd-n sum
     instead of pi^2/8 and does not match the simulation.
     """
-    spec = CoefficientSpec("plus", Fraction(1, 8))
-    coeffs = spec.coefficients(truncation)
-    values = sample_series_matrix(
-        coeffs[:, None], truncation, samples, seed, force={2: forced_sign}
-    )[:, 0]
+    coeffs = CoefficientSpec("plus", Fraction(1, 8)).coefficients(truncation)
+    odd = np.arange(1, truncation + 1, 2)
+    folded = np.zeros(truncation)
+    n, weight = odd, 1.0
+    while len(n):  # n = 2^j m runs over a prefix of the odd m
+        folded[odd[: len(n)] - 1] += weight * coeffs[n - 1]
+        n, weight = 2 * n[2 * n <= truncation], weight * forced_sign / 2
+    values = sample_series_matrix(folded[:, None], truncation, samples, seed)[:, 0]
     odd_sum = math.pi**2 / 8
     recomputed = (math.sqrt(2) * odd_sum + forced_sign * odd_sum) / 2
     return ConditionalMeanReport(

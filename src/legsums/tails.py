@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 
 from .primes import primes_up_to
-from .randmodel import CoefficientSpec, MultiplicativeSample, moment_direct, sample_series_matrix
+from .randmodel import (
+    CoefficientSpec, _euler_sum, decompose_rational, moment_direct, sample_series_matrix,
+)
 
 __all__ = [
     "SubGaussianSeries",
@@ -81,8 +84,9 @@ def subgaussian_tail(sigma2: float, T: float) -> float:
 
 def negativity_bound(sigma2: float, D: float, u: float) -> float:
     """exp(-ln^2(u) / (8 sigma2)) + D/u: bound on the probability that a
-    series within L2 distance sqrt(D)... (D is the squared-distance bound)
-    of an almost-surely-positive log-normal one goes negative."""
+    series goes negative when its mean squared distance from an
+    almost-surely-positive log-normal one is at most D; u in (0, 1) is the
+    threshold that splits the two terms."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     if not 0 < u < 1:
@@ -185,9 +189,13 @@ class Lemma7Report:
         return self.rel_err_minus <= tol and self.rel_err_plus <= tol
 
 
-def log_euler_identity_check(sample: MultiplicativeSample, P: int) -> Lemma7Report:
+def log_euler_identity_check(signs: np.ndarray, P: int) -> Lemma7Report:
     """Check, at truncation P, that both alpha = 1/3 Euler products equal a
     deterministic normalizer times exp of a weighted sign sum.
+
+    signs holds X_p for the primes p <= P, in order: one row of
+    `randmodel.prime_sign_matrix`, or any ±1 row on those primes.  The
+    products are the Euler engine's values of the 1/3 decompositions.
 
     Per prime: (1 - eps/p)^(-1) = ((p+1)/(p-1))^(eps/2) * (1 - 1/p^2)^(-1/2)
     for eps = ±1, so the exponent weight is +(1/2) ln((p+1)/(p-1)) X_p.
@@ -198,15 +206,17 @@ def log_euler_identity_check(sample: MultiplicativeSample, P: int) -> Lemma7Repo
     the plus-parity series uses eps = (p|3) X_p and normalizer -> pi/3.
     """
     primes = primes_up_to(P)
-    primes = primes[primes != 3].astype(np.float64)
-    x = sample.signs_for_primes(primes.astype(np.int64)).astype(np.float64)
-    leg3 = np.where(primes.astype(np.int64) % 3 == 1, 1.0, -1.0)
-    half_log = 0.5 * np.log((primes + 1) / (primes - 1))
-    norm = float(np.prod(1.0 / np.sqrt(1.0 - 1.0 / primes**2)))
+    signs = np.asarray(signs)
+    third = [decompose_rational(Fraction(1, 3), parity).terms for parity in ("minus", "plus")]
+    prod_minus, prod_plus = (float(_euler_sum(t, signs[None, :], primes, P)[0].real) for t in third)
+    keep = primes != 3
+    x = signs[keep].astype(np.float64)
+    leg3 = np.where(primes[keep] % 3 == 1, 1.0, -1.0)
+    p = primes[keep].astype(np.float64)
+    half_log = 0.5 * np.log((p + 1) / (p - 1))
+    norm = float(np.prod(1.0 / np.sqrt(1.0 - 1.0 / p**2)))
 
-    prod_minus = 1.5 * float(np.prod(1.0 / (1.0 - x / primes)))
     exp_minus = 1.5 * norm * math.exp(float(np.dot(half_log, x)))
-    prod_plus = (math.sqrt(3) / 2) * float(np.prod(1.0 / (1.0 - leg3 * x / primes)))
     exp_plus = (math.sqrt(3) / 2) * norm * math.exp(float(np.dot(half_log, leg3 * x)))
 
     return Lemma7Report(
@@ -260,13 +270,13 @@ class ZetaRatioReport:
 def zeta_ratio_check(N: int = 1_000_000) -> ZetaRatioReport:
     """The Dirichlet series of tau(n^2) at s is zeta(s)^3/zeta(2s); at
     s = 4/3, the value times 2^(4/3) stays below 92."""
-    mpmath.mp.dps = 20
-    ratio = float(mpmath.zeta(mpmath.mpf(4) / 3) ** 3 / mpmath.zeta(mpmath.mpf(8) / 3))
+    with mpmath.workdps(20):
+        ratio = float(mpmath.zeta(mpmath.mpf(4) / 3) ** 3 / mpmath.zeta(mpmath.mpf(8) / 3))
+        s2_target = float(mpmath.zeta(2) ** 3 / mpmath.zeta(4))
     tau = tau_of_square(N)
     n = np.arange(1, N + 1, dtype=np.float64)
     partial_43 = float(np.sum(tau[1:] / n ** (4 / 3)))
     s2_partial = float(np.sum(tau[1:] / n**2))
-    s2_target = float(mpmath.zeta(2) ** 3 / mpmath.zeta(4))
     return ZetaRatioReport(
         ratio=ratio,
         scaled=ratio * 2 ** (4 / 3),

@@ -7,6 +7,7 @@ such case is marked "finding:" in a comment; the Findings section of README.md
 lists them.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from legsums.fourier import fourier_partial, gauss_sum, gauss_sum_closed_form
 from legsums.primes import jacobi, primes_up_to
 from legsums import randmodel as rm
 from legsums import tails
+from reference import prime_sign, x_of
 
 INV_2PI = 0.15915494309189535
 INV_E = 0.36787944117144233
@@ -223,10 +225,11 @@ def test_criterion_6_chebyshev_bound_below_one_third():
 
 
 def test_criterion_6_twist_product():
-    s = rm.sample_multiplicative(0)
-    t = rm.lambda_twist(s)
+    # seed 0's sign row and its twist, the negated row, through the Euler engine
     P = 10**5
-    prod = (rm.euler_product(rm.CHI_0_5, s, P) * rm.euler_product(rm.CHI_0_5, t, P)).real
+    primes = primes_up_to(P)
+    s = rm.prime_sign_matrix(np.array([0]), primes)[0]
+    prod = np.prod(rm._euler_sum((rm.Term(1, rm.CHI_0_5),), np.stack([s, -s]), primes, P)).real
     target = 4 * math.pi**2 / 25
     assert abs(prod - target) / target <= 1e-4
 
@@ -319,10 +322,10 @@ def test_criterion_8_certified_lower_bound(constants, side):
 
 def test_criterion_9_multiplicativity_x():
     rng = random.Random(1)
-    s = rm.sample_multiplicative(0)
+    sign_of = functools.partial(prime_sign, 0)
     for _ in range(1000):
         a, b = rng.randint(1, 5000), rng.randint(1, 5000)
-        assert s.x_of(a * b) == s.x_of(a) * s.x_of(b)
+        assert x_of(a * b, sign_of) == x_of(a, sign_of) * x_of(b, sign_of)
 
 
 def test_criterion_9_multiplicativity_jacobi():
@@ -344,6 +347,7 @@ def test_criterion_9_empirical_subgaussian_tail():
 
 
 def test_criterion_9_log_euler_identity_100_seeds():
+    signs = rm.prime_sign_matrix(np.arange(100), primes_up_to(1000))
     for seed in range(100):
-        rep = tails.log_euler_identity_check(rm.sample_multiplicative(seed), 1000)
+        rep = tails.log_euler_identity_check(signs[seed], 1000)
         assert rep.ok(1e-6), seed

@@ -110,6 +110,35 @@ def test_density_scan_thread_invariance():
     assert a == b
 
 
+@pytest.mark.parametrize("threads", [3, 100_000])
+def test_sweep_workers_capped_at_usable_cores(monkeypatch, threads):
+    # a stand-in executor records its size and maps serially: no thread starts
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, spans):
+            self.spans = list(spans)
+            return map(fn, self.spans)
+
+    monkeypatch.setattr(charsum, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(charsum.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    reports = density_sweep([Fraction(2, 5), Fraction(1, 3)], [50, 300], threads=threads)
+    assert reports == density_sweep([Fraction(2, 5), Fraction(1, 3)], [50, 300], threads=1)
+    (pool,) = pools
+    assert pool.max_workers == min(threads, 4)
+    assert len(pool.spans) == min(4 * threads, 300)
+
+
 def test_density_scan_mod4_split_consistent():
     r = density_scan(Fraction(3, 8), 500)
     # p = 2 contributes to nonneg_count but to neither residue class

@@ -12,82 +12,79 @@ from legsums.primes import first_primes, primes_up_to
 from legsums import randmodel as rm
 from legsums.randmodel import (
     CoefficientSpec,
-    MultiplicativeSample,
     PositivityEstimate,
     UnsupportedAlphaError,
     decompose_rational,
     estimate_positivity,
-    euler_eval,
-    euler_product,
-    lambda_twist,
     moment_direct,
-    sample_multiplicative,
     sample_series_matrix,
-    series_eval,
     squarefree_core,
     xi_statistics,
 )
+from reference import prime_sign, x_of
 
 SUPPORTED = [(alpha, parity) for alpha in rm.SUPPORTED_ALPHAS for parity in ("plus", "minus")]
 
 
-def all_plus_sample(limit: int = 10**6) -> MultiplicativeSample:
-    forced = tuple((int(p), 1) for p in primes_up_to(limit).tolist())
-    return MultiplicativeSample(seed=0, forced=forced)
+def sign_row(seed, primes, pins=(), negate=False):
+    """The seed's row of the sign block on the primes, with X_p = s for each
+    (p, s) in pins, then negated (the Liouville twist) if asked."""
+    row = rm.prime_sign_matrix(np.array([seed]), primes)[0]
+    for p, s in pins:
+        row[primes == p] = s
+    return -row if negate else row
+
+
+def row_sign(row, primes):
+    """sign_of for x_of: the X_p of a sign row on the primes."""
+    return dict(zip(primes.tolist(), row.tolist())).__getitem__
+
+
+def kernel_x(signs, N):
+    """The kernel engine's X_n for 0 <= n <= N (column 0 unused), per row of
+    a sign block on the primes up to N."""
+    layout = rm._kernel_layout(N)
+    return rm._kernel_signs(signs, layout)[layout.row_of].T
+
+
+def series_rows(coeff_columns, signs, N):
+    """The series engine's sum a_n X_n / n per row of a sign block on the
+    primes up to N, one column per coefficient column."""
+    layout = rm._kernel_layout(N)
+    return rm._series_sum(rm._fold(coeff_columns, layout), signs, layout)
 
 
 # --------------------------------------------------------------------------
 # sampling
 
 def test_x_trivial_values():
-    s = sample_multiplicative(0)
-    assert s.x_of(1) == 1
-    assert s.x_of(4) == 1
-    assert s.x_of(9) == 1
-    assert s.x_of(12) == s.x_of(3)
+    x = kernel_x(rm.prime_sign_matrix(np.array([0]), primes_up_to(12)), 12)[0]
+    assert x[1] == x[4] == x[9] == 1
+    assert x[12] == x[3]
 
 
 @given(a=st.integers(1, 3000), b=st.integers(1, 3000), seed=st.integers(0, 5))
 @settings(max_examples=200)
 def test_x_multiplicative(a, b, seed):
-    s = sample_multiplicative(seed)
-    assert s.x_of(a * b) == s.x_of(a) * s.x_of(b)
+    sign_of = functools.partial(prime_sign, seed)
+    assert x_of(a * b, sign_of) == x_of(a, sign_of) * x_of(b, sign_of)
 
 
 def test_signs_up_to_matches_x_of():
-    s = sample_multiplicative(42)
-    arr = s.signs_up_to(300)
-    assert all(int(arr[n]) == s.x_of(n) for n in range(1, 301))
+    primes = primes_up_to(300)
+    x = kernel_x(rm.prime_sign_matrix(np.array([42]), primes), 300)[0]
+    sign_of = functools.partial(prime_sign, 42)
+    assert all(int(x[n]) == x_of(n, sign_of) for n in range(1, 301))
 
 
 def test_prime_sign_bias_small():
-    s = sample_multiplicative(0)
-    signs = s.signs_for_primes(first_primes(10000))
+    signs = rm.prime_sign_matrix(np.array([0]), first_primes(10000))
     assert abs(signs.astype(float).mean()) < 3 / math.sqrt(10000)
 
 
 def test_distinct_seeds_distinct_sequences():
-    primes = first_primes(100)
-    a = sample_multiplicative(0).signs_for_primes(primes)
-    b = sample_multiplicative(1).signs_for_primes(primes)
+    a, b = rm.prime_sign_matrix(np.array([0, 1]), first_primes(100))
     assert not np.array_equal(a, b)
-
-
-def test_forced_signs_respected():
-    s = MultiplicativeSample(seed=0, forced=((2, -1), (5, 1)))
-    assert s.sign_at_prime(2) == -1
-    assert s.sign_at_prime(5) == 1
-
-
-def test_lambda_twist_involution_and_sign_flip():
-    s = sample_multiplicative(7)
-    t = lambda_twist(s)
-    assert lambda_twist(t) == s
-    for p in (2, 3, 11):
-        assert t.sign_at_prime(p) == -s.sign_at_prime(p)
-    # X_n picks up (-1)^Omega(n)
-    assert t.x_of(12) == -s.x_of(12)  # Omega(12) = 3
-    assert t.x_of(36) == s.x_of(36)  # squares are invariant
 
 
 # --------------------------------------------------------------------------
@@ -154,34 +151,36 @@ def test_quarter_plus_decomposition_shape():
 # evaluation
 
 def test_series_half_plus_vanishes():
-    s = sample_multiplicative(3)
-    val = series_eval(CoefficientSpec("plus", Fraction(1, 2)), s, 10000)
+    c = CoefficientSpec("plus", Fraction(1, 2)).coefficients(10000)
+    val = sample_series_matrix(c[:, None], 10000, 1, seed0=3)[0, 0]
     assert abs(val) < 1e-9
 
 
 def test_series_half_minus_all_plus_is_odd_harmonic():
     N = 1000
-    s = all_plus_sample(N)
-    val = series_eval(CoefficientSpec("minus", Fraction(1, 2)), s, N)
+    c = CoefficientSpec("minus", Fraction(1, 2)).coefficients(N)
+    all_plus = np.ones((1, len(primes_up_to(N))), dtype=np.int8)
+    val = series_rows(c[:, None], all_plus, N)[0, 0]
     expected = 2 * sum(1 / n for n in range(1, N + 1, 2))
     assert abs(val - expected) < 1e-12
 
 
 def test_euler_matches_series_for_all_supported():
-    s = sample_multiplicative(11)
     N, P = 10**6, 10**3
-    x = s.signs_up_to(N)[1:].astype(np.float64) / np.arange(1, N + 1)
+    x = kernel_x(rm.prime_sign_matrix(np.array([11]), primes_up_to(N)), N)[0, 1:]
+    x = x / np.arange(1, N + 1)
     for alpha, parity in SUPPORTED:
         d = decompose_rational(alpha, parity)
-        e = euler_eval(d, s, P)
+        e = rm.euler_values_matrix(d, 1, seed0=11, prime_cutoff=P)[0]
         v = float(np.dot(CoefficientSpec(parity, alpha).coefficients(N), x))
         assert abs(e - v) <= 1e-2 * (1 + abs(e)), (alpha, parity, e, v)
 
 
 def test_quarter_minus_zero_when_x2_negative():
-    s = MultiplicativeSample(seed=5, forced=((2, -1),))
+    primes = primes_up_to(1000)
+    row = sign_row(5, primes, pins=[(2, -1)])
     d = decompose_rational(Fraction(1, 4), "minus")
-    assert abs(euler_eval(d, s, 1000)) < 1e-12
+    assert abs(rm._euler_sum(d.terms, row[None, :], primes, 1000)[0]) < 1e-12
 
 
 def test_sixth_minus_factored_form():
@@ -190,14 +189,13 @@ def test_sixth_minus_factored_form():
     # series is NOT nonnegative for every realization -- see Findings in
     # README.md)
     d = decompose_rational(Fraction(1, 6), "minus")
+    primes = primes_up_to(1000)
     for x2 in (1, -1):
         for x3 in (1, -1):
-            s = MultiplicativeSample(seed=5, forced=((2, x2), (3, x3)))
-            primes = primes_up_to(1000)
-            signs = s.signs_for_primes(primes).astype(float)
-            T = float(np.prod(1.0 / (1.0 - signs / primes)))
+            row = sign_row(5, primes, pins=[(2, x2), (3, x3)])
+            T = float(np.prod(1.0 / (1.0 - row / primes)))
             factor = (1 + x2 + x3 - x2 * x3) / 2
-            val = euler_eval(d, s, 1000)
+            val = rm._euler_sum(d.terms, row[None, :], primes, 1000)[0].real
             assert val == pytest.approx(factor * T, rel=1e-10)
             if x2 == x3 == -1:
                 assert val < -0.1  # counterexample to the printed sign law
@@ -257,22 +255,26 @@ def test_euler_values_matrix_matches_per_factor_products(alpha, parity):
 @pytest.mark.parametrize(
     "sample",
     [
-        MultiplicativeSample(seed=3, forced=((2, -1), (3, -1))),
-        MultiplicativeSample(seed=3, forced=((2, 1), (5, -1)), negated=True),
-        MultiplicativeSample(seed=8, negated=True),
+        (3, [(2, -1), (3, -1)], False),
+        (3, [(2, 1), (5, -1)], True),
+        (8, [], True),
     ],
 )
 def test_euler_eval_is_the_one_row_computation(sample):
+    # the Euler engine on one altered row (pinned signs, the negated row)
+    seed, pins, negate = sample
     primes = primes_up_to(500)
-    signs = sample.signs_for_primes(primes).astype(np.float64)[None, :]
+    row = sign_row(seed, primes, pins, negate)[None, :]
+    signs = row.astype(np.float64)
     for alpha, parity in SUPPORTED:
         d = decompose_rational(alpha, parity)
         expected = _per_factor_euler(d, signs, primes)[0]
-        assert euler_eval(d, sample, 500) == pytest.approx(expected, rel=0, abs=1e-12)
+        value = rm._euler_sum(d.terms, row, primes, 500)[0].real
+        assert value == pytest.approx(expected, rel=0, abs=1e-12)
     for chi in (rm.CHI4, rm.KAPPA, rm.CHI_0_3):
         chi_p = np.array([complex(chi.values[p % chi.period]) for p in primes.tolist()])
         expected = np.prod(1.0 / (1.0 - chi_p * signs[0] / primes))
-        assert abs(euler_product(chi, sample, 500) - expected) <= 1e-12
+        assert abs(rm._euler_sum((rm.Term(1, chi),), row, primes, 500)[0] - expected) <= 1e-12
 
 
 def test_euler_eval_below_the_dilation_primes():
@@ -281,15 +283,10 @@ def test_euler_eval_below_the_dilation_primes():
     # sign pairs of (X_2, X_3)
     d = decompose_rational(Fraction(1, 6), "minus")
     vals = rm.euler_values_matrix(d, 10, seed0=0, prime_cutoff=2)
-    pairs = set()
-    for seed in range(10):
-        s = sample_multiplicative(seed)
-        x2, x3 = s.x_of(2), s.x_of(3)
-        pairs.add((x2, x3))
-        expected = 2 * x3 / 3 + (0.5 + x2 / 2) / (1 - x2 / 2)
-        assert euler_eval(d, s, 2) == pytest.approx(expected, abs=1e-12)
-        assert vals[seed] == pytest.approx(expected, abs=1e-12)
-    assert len(pairs) == 4
+    x2, x3 = rm.prime_sign_matrix(np.arange(10), np.array([2, 3])).T
+    expected = 2 * x3 / 3 + (0.5 + x2 / 2) / (1 - x2 / 2)
+    np.testing.assert_allclose(vals, expected, rtol=0, atol=1e-12)
+    assert len(set(zip(x2.tolist(), x3.tolist()))) == 4
 
 
 def test_shared_sign_block_is_keyed_and_read_only():
@@ -365,13 +362,13 @@ def test_sample_series_matrix_memory_does_not_grow_with_samples(samples):
 
 
 def test_sample_series_matrix_matches_trial_division():
-    N, seeds, force = 600, 5, {2: -1, 3: 1}
+    N, seeds = 600, 5
     specs = [CoefficientSpec("plus", Fraction(1, 5)), CoefficientSpec("minus", Fraction(1, 3))]
     cols = np.column_stack([s.coefficients(N) for s in specs])
-    vals = sample_series_matrix(cols, N, seeds, seed0=4, force=force)
+    vals = sample_series_matrix(cols, N, seeds, seed0=4)
     for i in range(seeds):
-        sample = MultiplicativeSample(seed=4 + i, forced=tuple(force.items()))
-        x = [sample.x_of(n) for n in range(1, N + 1)]
+        sign_of = functools.partial(prime_sign, 4 + i)
+        x = [x_of(n, sign_of) for n in range(1, N + 1)]
         for j in range(len(specs)):
             exact = math.fsum(cols[n - 1, j] * x[n - 1] / n for n in range(1, N + 1))
             assert vals[i, j] == pytest.approx(exact, rel=1e-12, abs=0)
@@ -427,31 +424,21 @@ def test_import_leaves_numpy_error_state_alone():
 
 
 @pytest.mark.parametrize(
-    "sample",
-    [
-        sample_multiplicative(13),
-        MultiplicativeSample(seed=13, forced=((2, -1), (7, 1))),
-        lambda_twist(MultiplicativeSample(seed=13, forced=((3, 1),))),
-    ],
+    "pins,negate",
+    [([], False), ([(2, -1), (7, 1)], False), ([(3, 1)], True)],
     ids=["plain", "forced", "twisted"],
 )
-def test_series_eval_matches_trial_division(sample):
+def test_series_eval_matches_trial_division(pins, negate):
+    # the series engine on one seed row, pinned or negated (the twist)
     N = 600
-    x = [sample.x_of(n) for n in range(1, N + 1)]
+    primes = primes_up_to(N)
+    row = sign_row(13, primes, pins, negate)
+    x = [x_of(n, row_sign(row, primes)) for n in range(1, N + 1)]
     for spec in (CoefficientSpec("plus", Fraction(1, 5)), CoefficientSpec("minus", Fraction(1, 3))):
         a = spec.coefficients(N)
         exact = math.fsum(a[n - 1] * x[n - 1] / n for n in range(1, N + 1))
-        assert series_eval(spec, sample, N) == pytest.approx(exact, rel=1e-12, abs=0)
-
-
-def test_sample_series_matrix_matches_series_eval():
-    c = CoefficientSpec("plus", Fraction(1, 5)).coefficients(300)
-    vals = sample_series_matrix(c[:, None], 300, 5, seed0=9)[:, 0]
-    for i in range(5):
-        direct = series_eval(
-            CoefficientSpec("plus", Fraction(1, 5)), sample_multiplicative(9 + i), 300
-        )
-        assert abs(vals[i] - direct) < 1e-10
+        value = series_rows(a[:, None], row[None, :], N)[0, 0]
+        assert value == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_estimate_positivity_third_minus_certain():
@@ -486,12 +473,14 @@ def test_sample_series_matrix_rejects_other_shapes(shape):
 # twists and special statistics
 
 def test_twist_products():
-    s = sample_multiplicative(3)
-    t = lambda_twist(s)
+    # a row and its twist, the negated row
     P = 10**4
-    H = euler_product(rm.CHI_0_5, s, P) * euler_product(rm.CHI_0_5, t, P)
+    primes = primes_up_to(P)
+    row = sign_row(3, primes)
+    pair = np.stack([row, -row])
+    H = np.prod(rm._euler_sum((rm.Term(1, rm.CHI_0_5),), pair, primes, P))
     assert abs(H.real - 4 * math.pi**2 / 25) < 1e-3
-    F = euler_product(rm.CHI_0_2, s, P) * euler_product(rm.CHI_0_2, t, P)
+    F = np.prod(rm._euler_sum((rm.Term(1, rm.CHI_0_2),), pair, primes, P))
     assert abs(F.real - math.pi**2 / 8) < 1e-3
     # the twisted product is far from pi^2/9
     assert abs(F.real - math.pi**2 / 9) > 0.1

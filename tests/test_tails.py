@@ -5,8 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from legsums.cli import main
 from legsums.primes import primes_up_to
-from legsums.randmodel import MultiplicativeSample, sample_multiplicative
+from legsums.randmodel import prime_sign_matrix
 from legsums import tails
 from legsums.tails import (
     SubGaussianSeries,
@@ -21,11 +22,6 @@ from legsums.tails import (
     tau_of_square,
     zeta_ratio_check,
 )
-
-
-def all_signs_sample(sign: int, limit: int = 10**4) -> MultiplicativeSample:
-    forced = tuple((int(p), sign) for p in primes_up_to(limit).tolist())
-    return MultiplicativeSample(seed=0, forced=forced)
 
 
 # --------------------------------------------------------------------------
@@ -169,19 +165,19 @@ def test_sigma2_tail_is_rigorous_for_integers():
 # exact log-Euler identity
 
 def test_log_euler_identity_random_seeds():
-    for seed in range(10):
-        rep = log_euler_identity_check(sample_multiplicative(seed), 1000)
+    for row in prime_sign_matrix(np.arange(10), primes_up_to(1000)):
+        rep = log_euler_identity_check(row, 1000)
         assert rep.ok(1e-6)
 
 
 def test_log_euler_identity_constant_signs():
     for sign in (1, -1):
-        rep = log_euler_identity_check(all_signs_sample(sign), 1000)
+        rep = log_euler_identity_check(np.full(len(primes_up_to(1000)), sign, dtype=np.int8), 1000)
         assert rep.ok(1e-6)
 
 
 def test_log_euler_normalizers_converge():
-    rep = log_euler_identity_check(sample_multiplicative(0), 10**6)
+    rep = log_euler_identity_check(prime_sign_matrix(np.array([0]), primes_up_to(10**6))[0], 10**6)
     assert abs(rep.normalizer_minus - math.pi / math.sqrt(3)) < 1e-6
     assert abs(rep.normalizer_plus - math.pi / 3) < 1e-6
 
@@ -208,6 +204,14 @@ def test_zeta_ratio_s2_dirichlet_series():
     rep = zeta_ratio_check(10**6)
     assert abs(rep.s2_partial - rep.s2_target) < 1e-3
     assert rep.s2_partial < rep.s2_target
+
+
+def test_zeta_ratio_leaves_mpmath_precision_alone(capsys):
+    with mpmath.workdps(17):
+        zeta_ratio_check(10**3)
+        assert mpmath.mp.dps == 17
+        assert main(["constants"]) == 0
+        assert mpmath.mp.dps == 17
 
 
 # --------------------------------------------------------------------------
