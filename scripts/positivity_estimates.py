@@ -1,7 +1,13 @@
 #!/usr/bin/env python3
 """Monte Carlo positivity probabilities c±(alpha) for the supported
 rational alphas, via Euler-product evaluation, plus the combined
-(c+ + c-)/2 lower bound on the density of nonnegative partial sums."""
+(c+ + c-)/2 lower bound on the density of nonnegative partial sums.
+
+All 22 (alpha, parity) pairs read one int8 sign block of samples ×
+pi(cutoff) bytes, hashed once, and the float64 products over it go 1024
+samples at a time, so memory grows by about one byte per added sample and
+prime: at cutoff 10^4 the first pair peaks at 10.9 MB under tracemalloc for
+1000 samples and 14.7 MB for 4000, sign block included."""
 
 import argparse
 

@@ -59,13 +59,9 @@ def gauss_sum_closed_form(p: int) -> complex:
 
 
 def _check_not_boundary(alpha: Alpha, p: int) -> None:
-    if isinstance(alpha, Fraction):
-        if (alpha.numerator * p) % alpha.denominator == 0:
-            raise BoundaryAlphaError(f"alpha*p integral for alpha={alpha}, p={p}")
-    else:
-        x = alpha * p
-        if abs(x - round(x)) < 1e-9:
-            raise BoundaryAlphaError(f"alpha*p ~ integral for alpha={alpha}, p={p}")
+    """A float alpha is the dyadic rational it stores, so the test is exact."""
+    if (Fraction(alpha) * p).denominator == 1:
+        raise BoundaryAlphaError(f"alpha*p integral for alpha={alpha}, p={p}")
 
 
 def fourier_partial(alpha: Alpha, p: int, M: int) -> float:

@@ -54,28 +54,40 @@ _C3 = _U(0x94D049BB133111EB)
 _HASH_BLOCK = 1 << 15
 
 
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finaliser, in place on a uint64 array."""
+def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser but its last xorshift, in place on a uint64
+    array; t is a scratch array of z's shape."""
     with np.errstate(over="ignore"):  # the mixing relies on wraparound
         z += _C1
-        z ^= z >> _U(30)
+        z ^= np.right_shift(z, _U(30), out=t)
         z *= _C2
-        z ^= z >> _U(27)
+        z ^= np.right_shift(z, _U(27), out=t)
         z *= _C3
-        z ^= z >> _U(31)
+    return z
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser, in place on a uint64 array."""
+    z = _mix(z, np.empty_like(z))
+    z ^= z >> _U(31)
     return z
 
 
 def prime_sign_matrix(seeds: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """int8 matrix of X_p signs, rows indexed by seed, columns by prime."""
+    """int8 matrix of X_p signs, rows indexed by seed, columns by prime.
+
+    A cell's sign is bit 63 of splitmix64(splitmix64(seed) ^
+    splitmix64(p)).  The finaliser's last step z ^= z >> 31 leaves bit 63
+    alone, so the cells skip it."""
     hs = _splitmix64(np.array(seeds, dtype=np.uint64))
     hp = _splitmix64(np.array(primes, dtype=np.uint64))
     signs = np.empty((len(hs), len(hp)), dtype=np.int8)
     rows = max(1, _HASH_BLOCK // max(len(hp), 1))
+    z, t = np.empty((2, min(rows, len(hs)), len(hp)), dtype=np.uint64)
     for i in range(0, len(hs), rows):
-        h = _splitmix64(np.bitwise_xor.outer(hs[i : i + rows], hp))
-        h >>= _U(63)
-        signs[i : i + rows] = h  # the sign bit, 0 or 1
+        n = min(rows, len(hs) - i)
+        h = _mix(np.bitwise_xor.outer(hs[i : i + n], hp, out=z[:n]), t[:n])
+        signs[i : i + n] = np.right_shift(h, _U(63), out=h)  # the sign bit, 0 or 1
     signs *= np.int8(-2)
     signs += np.int8(1)
     return signs
@@ -267,6 +279,13 @@ def decompose_rational(alpha: Fraction | str, parity: str) -> RationalDecomposit
 # --------------------------------------------------------------------------
 # Euler-product evaluation
 
+#: rows per float64 copy of an int8 block in a product: sample rows of the
+#: Euler sign block (_PRODUCT_ROWS × primes doubles, whatever the sample
+#: count), and rows of the smooth X block or columns of the large-prime
+#: signs in the series sums (_PRODUCT_ROWS × _SERIES_BATCH, whatever N)
+_PRODUCT_ROWS = 1024
+
+
 def euler_values_matrix(
     decomp: RationalDecomposition,
     samples: int,
@@ -318,7 +337,10 @@ def _euler_sum(
     up, down = -np.log1p(-c), -np.log1p(c)  # at X_p = +1 and at X_p = -1
     even, odd = (up + down) / 2, (up - down) / 2
     imag = [j for j in range(len(chis)) if odd[j].imag.any()]
-    logs = signs @ np.concatenate([odd.real, odd[imag].imag]).T
+    columns = np.concatenate([odd.real, odd[imag].imag]).T
+    logs = np.empty((len(signs), columns.shape[1]))
+    for r in range(0, len(signs), _PRODUCT_ROWS):  # a float64 copy of one block at a time
+        logs[r : r + _PRODUCT_ROWS] = signs[r : r + _PRODUCT_ROWS] @ columns
     log_prod = even.sum(axis=1) + logs[:, : len(chis)]
     log_prod[:, imag] += 1j * logs[:, len(chis) :]
     product = dict(zip(chis, np.exp(log_prod).T))
@@ -335,20 +357,32 @@ def _euler_sum(
 
 @dataclass(frozen=True)
 class _KernelLayout:
-    """The squarefree d <= N, one row each, ordered by omega(d) (the number
-    of prime factors) and then by d.
+    """The squarefree d <= N, one row each.  At most one prime factor Q of
+    such a d lies above sqrt(N), so d = m Q with m sqrt(N)-smooth (Q = 1 if
+    there is none).
 
-    Row 0 is d = 1 and rows 1 .. len(primes) are the primes.  Each later row
-    d has the rows of spf(d), its smallest prime factor, and of d / spf(d),
-    which has one prime factor fewer and so sits in the level before.
+    Rows 0 .. smooth - 1 are the smooth d, ordered by omega(d) (the number
+    of prime factors) and then by d: row 0 is d = 1, rows 1 .. small the
+    primes up to sqrt(N), and each later row d has the rows of spf(d), its
+    smallest prime factor, and of d / spf(d), which has one prime factor
+    fewer and so sits in the level before.  The rows after are the d = m Q
+    with Q > 1, ordered by m and then by Q, so the Q of one m are a prefix
+    of the primes above sqrt(N), and the runs shorten as m grows.
     """
 
     kernels: np.ndarray  # d of each row
-    large: np.ndarray  # the prime factor above sqrt(N) of each row's d, 1 if none
-    primes: np.ndarray  # the prime rows' d, a view of kernels
-    spf_row: np.ndarray
+    large: np.ndarray  # Q of each row
+    primes: np.ndarray  # the primes up to N
+    small: int  # how many of them are at most sqrt(N)
+    smooth: int  # rows with Q = 1
+    spf_row: np.ndarray  # of each smooth row
     rest_row: np.ndarray
-    levels: tuple[tuple[int, int], ...]  # row ranges of omega = 2, 3, ...
+    levels: tuple[tuple[int, int], ...]  # smooth row ranges of omega = 2, 3, ...
+    m_rows: np.ndarray  # the row of each m that has Q > 1 rows, in the order of m
+    # consecutive m whose runs are at least half as long as the first one's
+    # form a group; per group, the (first run × m) rows of the m Q_j, -1
+    # past the end of m's run
+    groups: tuple[np.ndarray, ...]
     row_of: np.ndarray  # row_of[n] = row of core(n), for 0 <= n <= N
 
 
@@ -356,9 +390,12 @@ def _kernel_layout(N: int) -> _KernelLayout:
     n = np.arange(N + 1)
     core = squarefree_core(N)
     kernels = np.flatnonzero(core == n)[1:]
+    small = primes_up_to(math.isqrt(N))
     spf = n.copy()
-    for p in primes_up_to(math.isqrt(N))[::-1].tolist():
+    smooth_part = np.ones(N + 1, dtype=np.int64)  # m of a squarefree n
+    for p in small[::-1].tolist():
         spf[p * p :: p] = p
+        smooth_part[p::p] *= p
     rest = kernels // spf[kernels]
     position = np.zeros(N + 1, dtype=np.int64)
     position[kernels] = np.arange(len(kernels))
@@ -368,41 +405,51 @@ def _kernel_layout(N: int) -> _KernelLayout:
         if np.array_equal(deeper, omega):
             break
         omega = deeper
-    order = np.argsort(omega, kind="stable")
+    m = smooth_part[kernels]
+    large = kernels // m
+    order = np.lexsort((kernels, np.where(large == 1, omega, m), large > 1))
+    d, m, large, omega = kernels[order], m[order], large[order], omega[order]
     row = np.zeros(N + 1, dtype=np.int64)
-    row[kernels[order]] = np.arange(len(kernels))
-    d = kernels[order]
+    row[d] = np.arange(len(d))
+    smooth = int(np.count_nonzero(large == 1))
     # first row of each level 0 .. top + 1, with a level 1 even when N < 2
-    top = max(int(omega.max()), 1)
-    bounds = np.searchsorted(omega[order], np.arange(top + 2)).tolist()
-    levels = tuple(zip(bounds[2:-1], bounds[3:]))
-    rest_row = row[d // spf[d]]
-    # d's largest prime is that of d / spf(d), one level before; at most one
-    # prime factor of a d <= N lies above sqrt(N), and it is the largest
-    largest = d.copy()
-    for start, stop in levels:
-        largest[start:stop] = largest[rest_row[start:stop]]
+    top = max(int(omega[:smooth].max()), 1)
+    bounds = np.searchsorted(omega[:smooth], np.arange(top + 2)).tolist()
+    starts = smooth + np.flatnonzero(np.diff(m[smooth:], prepend=0))
+    m_rows = row[m[starts]]
+    runs = np.diff(np.append(starts, len(d)))
+    groups = []
+    while len(starts):
+        k = np.count_nonzero(2 * runs >= runs[0])
+        j = np.arange(runs[0])[:, None]
+        groups.append(np.where(j < runs[:k], starts[:k] + j, -1))
+        starts, runs = starts[k:], runs[k:]
+    ds = d[:smooth]
     return _KernelLayout(
         kernels=d,
-        large=np.where(largest * largest > N, largest, 1),
-        primes=d[bounds[1] : bounds[2]],
-        spf_row=row[spf[d]],
-        rest_row=rest_row,
-        levels=levels,
+        large=large,
+        primes=primes_up_to(N),
+        small=len(small),
+        smooth=smooth,
+        spf_row=row[spf[ds]],
+        rest_row=row[ds // spf[ds]],
+        levels=tuple(zip(bounds[2:-1], bounds[3:])),
+        m_rows=m_rows,
+        groups=tuple(groups),
         row_of=row[core],
     )
 
 
 def _kernel_signs(signs: np.ndarray, layout: _KernelLayout) -> np.ndarray:
-    """X_d on the squarefree d <= N from a (samples × primes) sign matrix.
+    """X_d on the smooth rows from a (samples × primes) sign matrix.
 
-    Kernel-major int8: x[r, s] = X_d for the d of layout row r in sample s.
-    Level by level in omega(d), x[d] = x[spf(d)] * x[d / spf(d)], so each
-    level is one vectorised gather.
+    Kernel-major int8: x[r, s] = X_d for the d of layout row r < smooth in
+    sample s.  Level by level in omega(d), x[d] = x[spf(d)] * x[d / spf(d)],
+    so each level is one vectorised gather.
     """
-    x = np.empty((len(layout.kernels), signs.shape[0]), dtype=np.int8)
+    x = np.empty((layout.smooth, signs.shape[0]), dtype=np.int8)
     x[0] = 1
-    x[1 : 1 + signs.shape[1]] = signs.T
+    x[1 : 1 + layout.small] = signs[:, : layout.small].T
     for start, stop in layout.levels:
         np.multiply(
             x[layout.spf_row[start:stop]], x[layout.rest_row[start:stop]], out=x[start:stop]
@@ -421,23 +468,54 @@ def _fold(coeff_columns: np.ndarray, layout: _KernelLayout) -> np.ndarray:
     ])
 
 
-#: kernel rows per float64 block of the series product; a block holds
-#: _PRODUCT_ROWS × _SERIES_BATCH doubles whatever the truncation
-_PRODUCT_ROWS = 1024
+def _series_weights(
+    coeff_columns: np.ndarray, layout: _KernelLayout
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The folded weights as _series_sum reads them: the smooth rows' (smooth,
+    C), and per group of m a (run, m × C) block whose column (i, c) holds
+    w_{m_i Q_j} at row j, Q_j the j-th prime above sqrt(N), 0 past m_i's
+    run."""
+    weights = _fold(coeff_columns, layout)
+    padded = np.vstack([weights, np.zeros(weights.shape[1])])  # row -1 reads 0
+    blocks = [padded[index].reshape(len(index), -1) for index in layout.groups]
+    return weights[: layout.smooth], blocks
 
-#: samples per sign block of sample_series_matrix, the fastest of 16 .. 2000
-#: at N = 10^4 and 10^5 (256 ties at 10^4): the int8 kernel block (about 0.61 N × 64 bytes) and
-#: its level gathers stay in cache, and memory does not grow with samples
-_SERIES_BATCH = 64
+
+#: samples per sign block of sample_series_matrix: of 32 .. 512, 128 to 256
+#: tie as fastest at N = 10^4 and 64 to 192 at 10^5; the int8 smooth block
+#: (about 0.15 N × 128 bytes) and its level gathers stay in cache, and
+#: memory does not grow with samples
+_SERIES_BATCH = 128
 
 
-def _series_sum(weights: np.ndarray, signs: np.ndarray, layout: _KernelLayout) -> np.ndarray:
+def _series_sum(
+    weights: tuple[np.ndarray, list[np.ndarray]], signs: np.ndarray, layout: _KernelLayout
+) -> np.ndarray:
     """sum_d w_d X_d per row of an int8 (samples × primes) sign block, for
-    each column of the folded weights: (samples, C)."""
+    each column of the weights from _series_weights: (samples, C).
+
+    The sum is A_1 + sum_m X_m B_m, with A_1 = sum w_d X_d over the smooth
+    d and B_m = sum_Q w_{mQ} X_Q over the primes Q > sqrt(N) with m Q <= N.
+    X is built on the smooth rows only, and all the B_m of a group of m
+    come from one product of the large-prime signs with its block.
+    """
+    smooth_weights, blocks = weights
     x = _kernel_signs(signs, layout)
-    acc = np.zeros((weights.shape[1], len(signs)))
-    for r in range(0, len(x), _PRODUCT_ROWS):
-        acc += weights[r : r + _PRODUCT_ROWS].T @ x[r : r + _PRODUCT_ROWS].astype(np.float64)
+    R = _PRODUCT_ROWS
+    acc = np.zeros((smooth_weights.shape[1], len(signs)))
+    for r in range(0, len(x), R):
+        acc += smooth_weights[r : r + R].T @ x[r : r + R].astype(np.float64)
+    large = signs[:, layout.small :]
+    b = np.zeros((len(signs), len(layout.m_rows) * len(acc)))  # B_m per column, m-major
+    for c in range(0, large.shape[1], R):
+        xq = large[:, c : c + R].astype(np.float64)
+        first = 0
+        for block in blocks:
+            if len(block) <= c:
+                break  # the runs shorten from group to group
+            b[:, first : first + block.shape[1]] += xq[:, : len(block) - c] @ block[c : c + R]
+            first += block.shape[1]
+    acc += np.einsum("smc,ms->cs", b.reshape(len(signs), -1, len(acc)), x[layout.m_rows])
     return acc.T
 
 
@@ -457,8 +535,8 @@ def sample_series_matrix(
     if coeff_columns.ndim != 2 or coeff_columns.shape[0] != N:
         raise ValueError(f"coeff_columns must have shape ({N}, C), got {coeff_columns.shape}")
     layout = _kernel_layout(N)
-    weights = _fold(coeff_columns, layout)
-    out = np.empty((samples, weights.shape[1]))
+    weights = _series_weights(coeff_columns, layout)
+    out = np.empty((samples, coeff_columns.shape[1]))
     for start in range(0, samples, _SERIES_BATCH):
         seeds = np.arange(seed0 + start, seed0 + min(start + _SERIES_BATCH, samples))
         signs = prime_sign_matrix(seeds, layout.primes)

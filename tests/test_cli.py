@@ -264,6 +264,18 @@ def test_fourier_check_composite_p_exits_2(capsys):
     assert "needs a prime, got 100" in lines[0]
 
 
+def test_fourier_check_boundary_is_exact_for_floats(capsys):
+    # the float nearest 1/3 sits just above it, so 3 alpha is not an integer
+    code, out = run(capsys, "fourier-check", "--alpha", "0.33333333333333337", "--p", "3",
+                    "--truncation", "100")
+    assert code == 0
+    assert out.splitlines()[1].startswith("0.33333333333333337,3,100,1,")
+    code = main(["fourier-check", "--alpha", "0.0", "--p", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "alpha*p integral" in captured.err
+
+
 def test_decompose_table(capsys):
     code, out = run(capsys, "decompose", "--alpha", "1/4", "--parity", "minus")
     assert code == 0

@@ -42,16 +42,21 @@ def row_sign(row, primes):
 
 def kernel_x(signs, N):
     """The kernel engine's X_n for 0 <= n <= N (column 0 unused), per row of
-    a sign block on the primes up to N."""
+    a sign block on the primes up to N: X_m from its smooth block times X_Q,
+    for core(n) = m Q with Q the prime factor above sqrt(N) (1 if none)."""
     layout = rm._kernel_layout(N)
-    return rm._kernel_signs(signs, layout)[layout.row_of].T
+    q = layout.large[layout.row_of]
+    m = layout.kernels[layout.row_of] // q
+    x_q = np.hstack([np.ones((len(signs), 1), dtype=np.int8), signs])  # column 0 is X_1
+    x_q = x_q[:, np.searchsorted(layout.primes, q, side="right") * (q > 1)]
+    return rm._kernel_signs(signs, layout)[layout.row_of[m]].T * x_q
 
 
 def series_rows(coeff_columns, signs, N):
     """The series engine's sum a_n X_n / n per row of a sign block on the
     primes up to N, one column per coefficient column."""
     layout = rm._kernel_layout(N)
-    return rm._series_sum(rm._fold(coeff_columns, layout), signs, layout)
+    return rm._series_sum(rm._series_weights(coeff_columns, layout), signs, layout)
 
 
 # --------------------------------------------------------------------------
@@ -361,8 +366,11 @@ def test_sample_series_matrix_memory_does_not_grow_with_samples(samples):
     assert peak < 32 * 2**20
 
 
-def test_sample_series_matrix_matches_trial_division():
-    N, seeds = 600, 5
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 120, 121, 122, 600])
+def test_sample_series_matrix_matches_trial_division(N):
+    # the split at sqrt(N): no prime above it (N = 1), no prime below it
+    # (N < 4), sqrt(N) prime (4, 121) and N just past a square (122)
+    seeds = 5
     specs = [CoefficientSpec("plus", Fraction(1, 5)), CoefficientSpec("minus", Fraction(1, 3))]
     cols = np.column_stack([s.coefficients(N) for s in specs])
     vals = sample_series_matrix(cols, N, seeds, seed0=4)
@@ -372,6 +380,30 @@ def test_sample_series_matrix_matches_trial_division():
         for j in range(len(specs)):
             exact = math.fsum(cols[n - 1, j] * x[n - 1] / n for n in range(1, N + 1))
             assert vals[i, j] == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_euler_values_matrix_memory_grows_by_the_int8_block_only():
+    import tracemalloc
+
+    d = decompose_rational(Fraction(1, 5), "plus")
+    P = 10**4
+    primes = primes_up_to(P)
+
+    def peak(samples):
+        rm._shared_signs.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rm.euler_values_matrix(d, samples, seed0=0, prime_cutoff=P)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # the shared int8 sign block grows by one byte per added cell; the
+    # float64 copy in the product stays one _PRODUCT_ROWS-row block, and
+    # a few dozen bytes per sample hold the logs and values
+    added = 3000
+    assert peak(1000 + added) - peak(1000) < added * (len(primes) + 256)
 
 
 def test_sample_series_matrix_memory_does_not_scale_as_samples_times_n():
