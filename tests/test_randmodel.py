@@ -527,16 +527,41 @@ def test_xi_statistics_values():
     )
 
 
+def conditional_mean_1_8(samples, truncation, seed=0, forced_sign=-1):
+    """Monte Carlo mean and standard error of the alpha = 1/8 sine series
+    conditioned on X_2 = forced_sign.
+
+    With n = 2^j m, m odd, X_n = forced_sign^j X_m, so the conditioned
+    series is the sum over odd m of b_m X_m / m with
+    b_m = sum_j a_{2^j m} (forced_sign / 2)^j, which the series engine
+    samples on its own seeds.
+    """
+    coeffs = CoefficientSpec("plus", Fraction(1, 8)).coefficients(truncation)
+    odd = np.arange(1, truncation + 1, 2)
+    folded = np.zeros(truncation)
+    n, weight = odd, 1.0
+    while len(n):  # n = 2^j m runs over a prefix of the odd m
+        folded[odd[: len(n)] - 1] += weight * coeffs[n - 1]
+        n, weight = 2 * n[2 * n <= truncation], weight * forced_sign / 2
+    values = sample_series_matrix(folded[:, None], truncation, samples, seed)[:, 0]
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
+
+
 def test_conditional_mean_supports_recomputed_constant():
-    rep = rm.conditional_mean_1_8(samples=20000, truncation=5000, seed=1)
-    assert abs(rep.mc_mean - rep.closed_form_recomputed) < 3 * rep.mc_se + 0.002
-    assert abs(rep.mc_mean - rep.closed_form_printed) > 5 * rep.mc_se
+    # finding: given X_2 = -1 the mean is (sqrt(2) - 1)/2 times the sum of
+    # 1/n^2 over odd n, which is pi^2/8; the printed (sqrt(2) - 1) pi^2/18
+    # takes pi^2/9 for that sum
+    mean, se = conditional_mean_1_8(samples=20000, truncation=5000, seed=1)
+    recomputed = (math.sqrt(2) - 1) * math.pi**2 / 16
+    printed = (math.sqrt(2) - 1) * math.pi**2 / 18
+    assert abs(mean - recomputed) < 3 * se + 0.002
+    assert abs(mean - printed) > 5 * se
 
 
 def test_conditioning_matters():
-    neg = rm.conditional_mean_1_8(samples=5000, truncation=2000, forced_sign=-1)
-    pos = rm.conditional_mean_1_8(samples=5000, truncation=2000, forced_sign=+1)
-    assert pos.mc_mean - neg.mc_mean > 10 * (pos.mc_se + neg.mc_se)
+    neg_mean, neg_se = conditional_mean_1_8(samples=5000, truncation=2000, forced_sign=-1)
+    pos_mean, pos_se = conditional_mean_1_8(samples=5000, truncation=2000, forced_sign=+1)
+    assert pos_mean - neg_mean > 10 * (pos_se + neg_se)
 
 
 # --------------------------------------------------------------------------

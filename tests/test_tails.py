@@ -7,53 +7,27 @@ import pytest
 
 from legsums.cli import main
 from legsums.primes import primes_up_to
-from legsums.randmodel import prime_sign_matrix
+from legsums.randmodel import CoefficientSpec, moment_direct, prime_sign_matrix, sample_series_matrix
 from legsums import tails
 from legsums.tails import (
-    SubGaussianSeries,
     certify_neighborhood,
     distance_bound,
-    empirical_distance,
-    log_euler_identity_check,
     negativity_bound,
     optimize_u,
     sigma2_one_third,
-    subgaussian_tail,
     tau_of_square,
     zeta_ratio_check,
 )
+from reference import log_euler_identity
 
 
 # --------------------------------------------------------------------------
-# sub-Gaussian class
-
-def test_subgaussian_tail_values():
-    assert subgaussian_tail(0.395, 1.0) == pytest.approx(math.exp(-1 / 0.79))
-    assert subgaussian_tail(1.0, 1e-9) == pytest.approx(1.0)
-
-
-def test_subgaussian_tail_domain_errors():
-    with pytest.raises(ValueError):
-        subgaussian_tail(0.0, 1.0)
-    with pytest.raises(ValueError):
-        subgaussian_tail(1.0, 0.0)
-
-
-def test_subgaussian_symmetry():
-    # the bound for -eta is the bound for eta: it only sees sigma2 and T
-    assert subgaussian_tail(0.3, 2.0) == subgaussian_tail(0.3, 2.0)
-
+# the negativity bound
 
 def test_mgf_grid_inequality():
     # cosh(t) <= exp(t^2/2), the inequality behind the tail bound
     for t in np.linspace(-10, 10, 81):
         assert math.cosh(t) <= math.exp(t * t / 2) * (1 + 1e-15)
-
-
-def test_series_class_invariant():
-    SubGaussianSeries(coefficients=(0.5, 0.3), sigma2=0.34)
-    with pytest.raises(ValueError):
-        SubGaussianSeries(coefficients=(0.5, 0.3), sigma2=0.33)
 
 
 def test_negativity_bound_values():
@@ -166,20 +140,22 @@ def test_sigma2_tail_is_rigorous_for_integers():
 
 def test_log_euler_identity_random_seeds():
     for row in prime_sign_matrix(np.arange(10), primes_up_to(1000)):
-        rep = log_euler_identity_check(row, 1000)
-        assert rep.ok(1e-6)
+        err_minus, err_plus, _, _ = log_euler_identity(row, 1000)
+        assert max(err_minus, err_plus) <= 1e-6
 
 
 def test_log_euler_identity_constant_signs():
     for sign in (1, -1):
-        rep = log_euler_identity_check(np.full(len(primes_up_to(1000)), sign, dtype=np.int8), 1000)
-        assert rep.ok(1e-6)
+        err_minus, err_plus, _, _ = log_euler_identity(
+            np.full(len(primes_up_to(1000)), sign, dtype=np.int8), 1000)
+        assert max(err_minus, err_plus) <= 1e-6
 
 
 def test_log_euler_normalizers_converge():
-    rep = log_euler_identity_check(prime_sign_matrix(np.array([0]), primes_up_to(10**6))[0], 10**6)
-    assert abs(rep.normalizer_minus - math.pi / math.sqrt(3)) < 1e-6
-    assert abs(rep.normalizer_plus - math.pi / 3) < 1e-6
+    _, _, norm_minus, norm_plus = log_euler_identity(
+        prime_sign_matrix(np.array([0]), primes_up_to(10**6))[0], 10**6)
+    assert abs(norm_minus - math.pi / math.sqrt(3)) < 1e-6
+    assert abs(norm_plus - math.pi / 3) < 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -206,6 +182,20 @@ def test_zeta_ratio_s2_dirichlet_series():
     assert rep.s2_partial < rep.s2_target
 
 
+def test_constants_does_not_compute_the_tau_sums(monkeypatch, capsys):
+    # the certificate reads only the scaled ratio; the tau(n^2) partial sums
+    # are computed on first read, which constants never makes
+    assert main(["constants"]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(N):
+        raise AssertionError("tau_of_square called")
+
+    monkeypatch.setattr(tails, "tau_of_square", refuse)
+    assert main(["constants"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_zeta_ratio_leaves_mpmath_precision_alone(capsys):
     with mpmath.workdps(17):
         zeta_ratio_check(10**3)
@@ -224,17 +214,25 @@ def test_distance_bound_values():
     assert 313.3 * (2e-6) ** (2 / 3) == pytest.approx(0.0497, abs=1e-4)
 
 
+def _distance_moments(alpha, beta, parity, N, samples, seed=0):
+    """The exact second moment of the difference of the two truncated
+    series, and a Monte Carlo estimate of it with its standard error."""
+    diff = CoefficientSpec(parity, alpha).coefficients(N) - CoefficientSpec(parity, beta).coefficients(N)
+    squares = sample_series_matrix(diff[:, None], N, samples, seed)[:, 0] ** 2
+    return moment_direct(diff, 2), float(squares.mean()), float(squares.std(ddof=1) / math.sqrt(samples))
+
+
 def test_empirical_distance_zero_at_equal_alpha():
-    rep = empirical_distance(Fraction(1, 3), Fraction(1, 3), "minus", N=500, samples=100)
-    assert rep.exact_truncated == 0.0
-    assert rep.mc_estimate == 0.0
+    exact, mc, _ = _distance_moments(Fraction(1, 3), Fraction(1, 3), "minus", N=500, samples=100)
+    assert exact == 0.0
+    assert mc == 0.0
 
 
 def test_empirical_distance_bounded_and_consistent():
     alpha, beta = 1 / 3, 1 / 3 + 1e-3
-    rep = empirical_distance(alpha, beta, "minus", N=10**4, samples=4000, seed=0)
-    assert rep.exact_truncated <= 313.3 * 1e-3 ** (2 / 3)
-    assert abs(rep.mc_estimate - rep.exact_truncated) <= 3 * rep.mc_se
+    exact, mc, se = _distance_moments(alpha, beta, "minus", N=10**4, samples=4000)
+    assert exact <= 313.3 * 1e-3 ** (2 / 3)
+    assert abs(mc - exact) <= 3 * se
 
 
 # --------------------------------------------------------------------------
