@@ -9,7 +9,7 @@ import numpy as np
 
 from .charsum import Alpha, _quadratic_residues
 from .primes import is_prime
-from .randmodel import CoefficientSpec, _dot
+from .randmodel import CoefficientSpec
 
 __all__ = [
     "BoundaryAlphaError",
@@ -50,5 +50,8 @@ def fourier_partial(alpha: Alpha, p: int, M: int) -> float:
     m = np.arange(1, M + 1)
     chi = _legendre_values(p)[m % p].astype(np.float64)
     terms = CoefficientSpec("plus" if p % 4 == 1 else "minus", alpha).coefficients(M) / m
-    return math.sqrt(p) / math.pi * float(_dot(terms, chi))
+    # numpy's pairwise sum, not BLAS's np.dot: OpenBLAS may split a long dot
+    # product across threads, and the printed value would then depend on
+    # the thread count
+    return math.sqrt(p) / math.pi * float(np.sum(terms * chi))
 

@@ -675,8 +675,13 @@ def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
         E S^3 = sum_{t<=N} w_t (c_1 + 3 C)(t),
         E S^4 = sum_t (c_1^2 + 6 c_1 C + 3 C^2 - 2 sum_{Q>1} c_Q^2)(t).
 
-    Only the pairs inside one group are enumerated, and every key of a
-    group Q > 1 is below N.
+    Only the pairs inside one group are enumerated, and never all of them
+    at once: _xor_convolution reduces them in blocks of about _XOR_BLOCK
+    pairs whose keys no other block reaches.  At N = 10^4, 1/3 minus, the
+    920 smooth kernels have 423,660 pairs (8 blocks) and the 1204 groups
+    Q > 1 have 22,202 (1 block); the call takes about 0.1 s with a 3.7 MB
+    tracemalloc peak.  At N = 3*10^4, 1/4 plus, the 4110 smooth kernels have
+    8.4M pairs (256 blocks): about 1.7 s and 6.6 MB.
     """
     if not 1 <= kmax <= 4:
         raise ValueError(f"kmax must be in 1..4, got {kmax}")
@@ -688,64 +693,120 @@ def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
         support, weights, w_full, large = _kernel_weights(coeffs)
         out[2] = float(np.sum(weights**2))
     if kmax >= 3:
-        order = np.argsort(large, kind="stable")  # by Q, then by d
-        large = large[order]
-        starts = np.flatnonzero(np.diff(large, prepend=0))
-        group, keys, vals = _xor_convolution(support[order] // large, weights[order], starts)
-        smooth = large[starts][group] == 1
-        C = np.bincount(keys[~smooth], weights=vals[~smooth], minlength=len(w_full))
-        c1, t1 = vals[smooth], keys[smooth]
-        low = t1 < len(w_full)
-        out[3] = float(_dot(w_full[t1[low]], c1[low]) + 3 * _dot(w_full, C))
+        out[3], fourth = _xor_convolution(support, weights, large, w_full)
     if kmax == 4:
-        out[4] = float(
-            _dot(c1, c1) + 6 * _dot(c1[low], C[t1[low]]) + 3 * _dot(C, C)
-            - 2 * _dot(vals[~smooth], vals[~smooth])
-        )
+        out[4] = fourth
     return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum a * b by numpy's pairwise summation: BLAS (np.dot) may split a
-    long dot product across threads, so its last bits, and the printed
-    moments, would depend on the thread count."""
-    return np.sum(a * b)
+    """sum a * b by numpy's pairwise sum in long double: no BLAS thread
+    split reaches it, and for the moments it matched math.fsum without
+    making a Python float per term (where long double is double, it is the
+    float64 pairwise sum)."""
+    return float(np.sum(a * b, dtype=np.longdouble))
 
 
-def _xor_convolution(support: np.ndarray, weights: np.ndarray, starts: np.ndarray):
-    """The xor self-convolution of each group of squarefree kernels.
+#: pairs per block of the xor convolution; a block's indices, keys, values
+#: and their sort take about 70 bytes a pair, whatever N
+_XOR_BLOCK = 1 << 16
 
-    Group g is support[starts[g] : starts[g + 1]], the last running to the
-    end.  Its convolution puts w_u w_v at the key u*v/gcd(u,v)^2 for every
-    pair u, v of the group.  Each pair is enumerated once: u with itself
-    gives the key 1 and w_u^2, and u before v gives 2 w_u w_v.  Returns
-    (group, key, value) aggregated per (group, key), sorted by both.
+
+def _xor_convolution(
+    support: np.ndarray, weights: np.ndarray, large: np.ndarray, w_full: np.ndarray
+) -> tuple[float, float]:
+    """E S^3 and E S^4 of moment_bundle from the xor self-convolutions of
+    the kernel groups: support and weights as _kernel_weights gives them,
+    large the Q of each kernel, w_full the w_t by t.
+
+    The pairs go through in blocks whose keys no other block reaches, so
+    each block is summed per key, reduced into the running sums and dropped.
+    The groups Q > 1 come first, whole groups per block: their keys lie
+    below len(w_full), so a block adds its c_Q to the dense C and the sum
+    of its c_Q^2.  The smooth group is then split by a signature: bit b of
+    sig(d) is the parity of the number of prime factors of d whose index i
+    among the primes has i mod r = b.  sig is additive under the xor
+    product, sig(u*v/gcd(u,v)^2) = sig(u) ^ sig(v), so the keys of the
+    pairs with sig(u) ^ sig(v) = s all have signature s, and the 2^r
+    blocks, one per s, come out of near equal size.  Another block size
+    moves the results by a few ulp at most (the per-key sums' order).
     """
-    K = len(support)
-    sizes = np.diff(np.append(starts, K))
-    # the pairs (first, second) with first <= second inside one group
-    count = np.repeat(starts + sizes, sizes) - np.arange(K)
-    first = np.repeat(np.arange(K), count)
-    second = np.arange(len(first)) - np.repeat(np.cumsum(count) - count - np.arange(K), count)
-    u, v = support[first], support[second]
+    order = np.argsort(large, kind="stable")  # by Q, then by d
+    m, w, large = support[order] // large[order], weights[order], large[order]
+    smooth = int(np.searchsorted(large, 2))
+    unit = len(w_full)
+    # the groups Q > 1: row i pairs with the rows i .. end of its group,
+    # whose keys are offset by unit per group to keep the groups apart
+    starts = smooth + np.flatnonzero(np.diff(large[smooth:], prepend=1))
+    sizes = np.diff(np.append(starts, len(m)))
+    pairs = sizes * (sizes + 1) // 2
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    rows, ends = np.arange(smooth, len(m)), np.repeat(starts + sizes, sizes)
+    block = ((np.cumsum(pairs) - pairs) // _XOR_BLOCK)[group]
+    cuts = np.append(np.flatnonzero(np.diff(block, prepend=-1)), len(rows))
+    C = np.zeros(unit)
+    third, fourth = [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        keys, c = _block_convolution(m, w, rows[a:b], rows[a:b], ends[a:b], group[a:b] * unit)
+        C += np.bincount(keys % unit, weights=c, minlength=unit)
+        fourth.append(-2 * _dot(c, c))
+    third.append(3 * _dot(w_full, C))
+    fourth.append(3 * _dot(C, C))
+    # the smooth group: r is the least for which the blocks average at most
+    # _XOR_BLOCK pairs, but there are no more blocks than smooth kernels
+    d, w = m[:smooth], w[:smooth]
+    pairs = smooth * (smooth + 1) // 2
+    r = min((max(pairs - 1, 0) // _XOR_BLOCK).bit_length(), max(smooth.bit_length() - 1, 0))
+    sig = np.zeros(smooth, dtype=np.int64)
+    if r:  # sig is additive on any set of primes; these hold every prime
+        # of a smooth kernel when the largest kernel is near N
+        for i, p in enumerate(primes_up_to(math.isqrt(unit)).tolist()):
+            sig[d % p == 0] ^= 1 << (i % r)
+    by_sig = np.argsort(sig, kind="stable")
+    d, w, sig = d[by_sig], w[by_sig], sig[by_sig]
+    class_start = np.searchsorted(sig, np.arange(1 << r))
+    class_end = np.searchsorted(sig, np.arange(1 << r), side="right")
+    rows = np.arange(smooth)
+    for s in range(1 << r):
+        partner = sig ^ s
+        lo = rows if s == 0 else class_start[partner]
+        hi = np.where(sig <= partner, class_end[partner], lo)  # each pair once
+        keys, c = _block_convolution(d, w, rows, lo, hi)
+        low = keys < unit
+        third.append(_dot(w_full[keys[low]], c[low]))
+        fourth += [_dot(c, c), 6 * _dot(c[low], C[keys[low]])]
+    return math.fsum(third), math.fsum(fourth)
+
+
+def _block_convolution(
+    d: np.ndarray,
+    w: np.ndarray,
+    rows: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    offset: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) with i in rows and lo <= j < hi (per row), at the
+    key d_i d_j / gcd(d_i, d_j)^2, plus the row's offset if given, with the
+    value w_i w_j, doubled for i != j.  Returns the keys and their summed
+    values, sorted by key."""
+    count = hi - lo
+    first = np.repeat(rows, count)
+    second = np.arange(len(first)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    u, v = d[first], d[second]
     g = np.gcd(u, v)
     keys = (u // g) * (v // g)
     del u, v, g
-    vals = weights[first] * weights[second]
+    if offset is not None:
+        keys += np.repeat(offset, count)
+    vals = w[first] * w[second]
     vals[first != second] *= 2
-    # group g's keys lie in [1, base[g + 1] - base[g]): its largest kernel
-    # squared bounds them, so base[g] + key orders by group and then key
-    span = support[starts + sizes - 1] ** 2 + 1
-    base = np.cumsum(span) - span
-    keys += np.repeat(base, sizes)[first]
     del first, second
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
     del order
-    new = np.flatnonzero(np.diff(keys, prepend=0))
-    keys = keys[new]
-    group = np.searchsorted(base, keys, side="right") - 1
-    return group, keys - base[group], np.add.reduceat(vals, new)
+    new = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[new], np.add.reduceat(vals, new)
 
 
 def _tau_moment(coeffs: np.ndarray, k: int, cutoff: int) -> float:

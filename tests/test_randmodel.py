@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -597,6 +598,21 @@ def test_moment_k2_brute_force():
         assert moment_direct(c, 2) == pytest.approx(_brute_second_moment(c), abs=1e-10)
 
 
+#: block sizes of the xor convolution the oracles run at besides the
+#: default: at one pair per block the smooth group splits into as many
+#: blocks as it has kernels and every group Q > 1 is a block of its own
+XOR_BLOCKS = (1, 64)
+
+
+def _each_xor_block():
+    """Yield once at the default _XOR_BLOCK and once at each of XOR_BLOCKS."""
+    yield rm._XOR_BLOCK
+    for block in XOR_BLOCKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rm, "_XOR_BLOCK", block)
+            yield block
+
+
 def test_moment_k3_k4_brute_force():
     c = CoefficientSpec("minus", Fraction(1, 4)).coefficients(60)
     n = np.arange(1, 61)
@@ -608,12 +624,13 @@ def test_moment_k3_k4_brute_force():
     w3 = np.multiply.outer(w2, w)
     r3 = np.sqrt(prod3).round().astype(np.int64)
     sq3 = r3 * r3 == prod3
-    assert moment_direct(c, 3) == pytest.approx(float(w3[sq3].sum()), abs=1e-9)
     prod4 = np.multiply.outer(prod3, n).astype(np.int64)
     w4 = np.multiply.outer(w3, w)
     r = np.sqrt(prod4).round().astype(np.int64)
     sq4 = r * r == prod4
-    assert moment_direct(c, 4) == pytest.approx(float(w4[sq4].sum()), abs=1e-9)
+    for _ in _each_xor_block():
+        assert moment_direct(c, 3) == pytest.approx(float(w3[sq3].sum()), abs=1e-9)
+        assert moment_direct(c, 4) == pytest.approx(float(w4[sq4].sum()), abs=1e-9)
 
 
 def test_moment_k3_key_at_squarefree_truncation():
@@ -627,8 +644,9 @@ def test_moment_k3_key_at_squarefree_truncation():
         r = math.isqrt(a * b * d)
         if r * r == a * b * d:
             total += w[a - 1] * w[b - 1] * w[d - 1]
-    assert moment_direct(c, 3) == pytest.approx(total, rel=1e-12)
-    assert rm.moment_bundle(c)[3] == pytest.approx(total, rel=1e-12)
+    for _ in _each_xor_block():
+        assert moment_direct(c, 3) == pytest.approx(total, rel=1e-12)
+        assert rm.moment_bundle(c)[3] == pytest.approx(total, rel=1e-12)
 
 
 def _all_pairs_xor_convolution(support, weights):
@@ -675,9 +693,10 @@ def _assert_moments_match_all_pairs(c):
     keys, vals = _all_pairs_xor_convolution(support, w[:, support])
     low = keys <= N
     (k3, scale3), (k4, scale4) = (vals[:, low] * w[:, keys[low]]).sum(axis=1), (vals**2).sum(axis=1)
-    bundle = rm.moment_bundle(c, 4)
-    assert bundle[3] == pytest.approx(k3, rel=1e-12, abs=1e-12 * scale3)
-    assert bundle[4] == pytest.approx(k4, rel=1e-12, abs=1e-12 * scale4)
+    for _ in _each_xor_block():
+        bundle = rm.moment_bundle(c, 4)
+        assert bundle[3] == pytest.approx(k3, rel=1e-12, abs=1e-12 * scale3)
+        assert bundle[4] == pytest.approx(k4, rel=1e-12, abs=1e-12 * scale4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -728,6 +747,44 @@ def test_moment_bundle_memory_below_k_squared():
         tracemalloc.stop()
     # the all-pairs keys of its 4562 kernels alone would take 83 MB
     assert peak < 64 * 2**20
+
+
+def _moment_bundle_peak(alpha, parity, N):
+    c = CoefficientSpec(parity, alpha).coefficients(N)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rm.moment_bundle(c)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_moment_bundle_memory_at_the_moments_defaults():
+    # holding all 423,660 smooth pairs at once peaked at 24 MB
+    assert _moment_bundle_peak(Fraction(1, 3), "minus", 10**4) < 12 * 2**20
+
+
+def test_moment_bundle_memory_does_not_follow_the_smooth_pairs():
+    # 8.4M smooth pairs at N = 3*10^4; holding them at once peaked at 461 MB
+    assert _moment_bundle_peak(Fraction(1, 4), "plus", 3 * 10**4) < 64 * 2**20
+
+
+@pytest.mark.parametrize("alpha,parity", [(Fraction(1, 3), "minus"), (Fraction(1, 4), "plus")])
+def test_moment_bundle_does_not_depend_on_the_block_size(monkeypatch, alpha, parity):
+    c = CoefficientSpec(parity, alpha).coefficients(10**4)
+    full = rm.moment_bundle(c)
+    blocks = []
+    convolve = rm._block_convolution
+    monkeypatch.setattr(rm, "_block_convolution", lambda *a: blocks.append(1) or convolve(*a))
+    for block in XOR_BLOCKS + (2**10,):
+        monkeypatch.setattr(rm, "_XOR_BLOCK", block)
+        blocks.clear()
+        part = rm.moment_bundle(c)
+        assert len(blocks) > 512  # the smooth group alone makes 512 or more
+        for k in (3, 4):
+            assert part[k] == pytest.approx(full[k], rel=1e-13, abs=0)
+        assert [part[k] for k in (1, 2)] == [full[k] for k in (1, 2)]
 
 
 def test_moment_k5_exact_small():
