@@ -604,13 +604,13 @@ def test_moment_k2_brute_force():
 XOR_BLOCKS = (1, 64)
 
 
-def _each_xor_block():
-    """Yield once at the default _XOR_BLOCK and once at each of XOR_BLOCKS."""
-    yield rm._XOR_BLOCK
+def _at_each_xor_block(check):
+    """Run check() at the default _XOR_BLOCK and at each of XOR_BLOCKS."""
+    check()
     for block in XOR_BLOCKS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rm, "_XOR_BLOCK", block)
-            yield block
+            check()
 
 
 def test_moment_k3_k4_brute_force():
@@ -628,9 +628,12 @@ def test_moment_k3_k4_brute_force():
     w4 = np.multiply.outer(w3, w)
     r = np.sqrt(prod4).round().astype(np.int64)
     sq4 = r * r == prod4
-    for _ in _each_xor_block():
+
+    def check():
         assert moment_direct(c, 3) == pytest.approx(float(w3[sq3].sum()), abs=1e-9)
         assert moment_direct(c, 4) == pytest.approx(float(w4[sq4].sum()), abs=1e-9)
+
+    _at_each_xor_block(check)
 
 
 def test_moment_k3_key_at_squarefree_truncation():
@@ -644,9 +647,12 @@ def test_moment_k3_key_at_squarefree_truncation():
         r = math.isqrt(a * b * d)
         if r * r == a * b * d:
             total += w[a - 1] * w[b - 1] * w[d - 1]
-    for _ in _each_xor_block():
+
+    def check():
         assert moment_direct(c, 3) == pytest.approx(total, rel=1e-12)
         assert rm.moment_bundle(c)[3] == pytest.approx(total, rel=1e-12)
+
+    _at_each_xor_block(check)
 
 
 def _all_pairs_xor_convolution(support, weights):
@@ -693,10 +699,13 @@ def _assert_moments_match_all_pairs(c):
     keys, vals = _all_pairs_xor_convolution(support, w[:, support])
     low = keys <= N
     (k3, scale3), (k4, scale4) = (vals[:, low] * w[:, keys[low]]).sum(axis=1), (vals**2).sum(axis=1)
-    for _ in _each_xor_block():
+
+    def check():
         bundle = rm.moment_bundle(c, 4)
         assert bundle[3] == pytest.approx(k3, rel=1e-12, abs=1e-12 * scale3)
         assert bundle[4] == pytest.approx(k4, rel=1e-12, abs=1e-12 * scale4)
+
+    _at_each_xor_block(check)
 
 
 @settings(max_examples=60, deadline=None)
