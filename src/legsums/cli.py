@@ -209,17 +209,17 @@ def _cmd_decompose(args) -> int:
     except randmodel.UnsupportedAlphaError as exc:
         print(f"legsums: error: {exc}", file=sys.stderr)
         return 2
+
+    def number(z) -> str:
+        z = complex(z)
+        return format(z if z.imag else z.real, "g")
+
     rows = [
         {
-            "coeff": format(complex(t.coeff), "g") if complex(t.coeff).imag else
-            format(complex(t.coeff).real, "g"),
+            "coeff": number(t.coeff),
             "character": t.chi.name,
             "period": t.chi.period,
-            "values": " ".join(
-                format(complex(v), "g") if complex(v).imag else
-                format(complex(v).real, "g")
-                for v in t.chi.values
-            ),
+            "values": " ".join(map(number, t.chi.values)),
             "dilation": t.dilation,
         }
         for t in decomp.terms

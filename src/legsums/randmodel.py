@@ -17,8 +17,9 @@ Euler product.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -131,46 +132,41 @@ class CharTable:
     period: int
     values: tuple[complex, ...]
 
-    def at(self, n: int) -> complex:
-        return self.values[n % self.period]
-
     def on(self, n: np.ndarray) -> np.ndarray:
         return np.asarray(self.values)[n % self.period]
 
-    def conjugate(self) -> "CharTable":
-        return CharTable(
-            name=self.name + "_bar",
-            period=self.period,
-            values=tuple(complex(v).conjugate() for v in self.values),
-        )
+
+#: i^k for k = 0..3, exact; 0 - 1j rather than -1j, whose real part is -0.0
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, 0 - 1j)
 
 
-def _principal(q: int, name: str) -> CharTable:
-    values = tuple(1.0 if math.gcd(r, q) == 1 else 0.0 for r in range(q))
-    return CharTable(name=name, period=q, values=values)
+@functools.lru_cache(maxsize=None)
+def _characters(m: int) -> tuple[CharTable, ...]:
+    """The Dirichlet characters mod m, principal first, each as the table of
+    its minimal period.
 
-
-CHI_0_2 = _principal(2, "chi_0_2")
-CHI_0_3 = _principal(3, "chi_0_3")
-CHI_0_5 = _principal(5, "chi_0_5")
-CHI_0_6 = _principal(6, "chi_0_6")
-LEG3 = CharTable("legendre_mod3", 3, (0, 1, -1))
-LEG5 = CharTable("legendre_mod5", 5, (0, 1, -1, -1, 1))
-CHI4 = CharTable("chi4", 4, (0, 1, 0, -1))
-CHI6 = CharTable("chi6", 6, (0, 1, 0, 0, 0, -1))
-KRON_M2 = CharTable("kronecker_-2", 8, (0, 1, 0, 1, 0, -1, 0, -1))
-KRON_P2 = CharTable("kronecker_2", 8, (0, 1, 0, -1, 0, -1, 0, 1))
-CHI12 = CharTable("chi4*chi_0_3", 12, (0, 1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1))
-KRON12 = CharTable("kronecker_12", 12, (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1))
-KAPPA = CharTable("kappa_mod5", 5, (0, 1, 1j, -1j, -1))
-KAPPA_BAR = KAPPA.conjugate()
-
-#: quintic amplitudes: sin(2 pi n / 5) = ((A - iB)/2) kappa(n) + conj term
-QUINTIC_A = math.sqrt((5 + math.sqrt(5)) / 8)
-QUINTIC_B = math.sqrt((5 - math.sqrt(5)) / 8)
-
-_SQ3_2 = math.sqrt(3) / 2
-_SQ2_2 = math.sqrt(2) / 2
+    They are the homomorphisms from the units mod m to the powers of i,
+    found by trying all 4^phi(m) maps (phi(m) <= 4 here).  That is every
+    character when each unit's fourth power is 1, true for every m dividing
+    the supported denominators, so the values are exactly 0, ±1 and ±i.  A
+    table that repeats with a period d < m is a character mod d, and it is
+    that one, under its name; the others are chi_0_m (principal) and
+    chi_m_k, the k-th here.
+    """
+    units = [r for r in range(m) if math.gcd(r, m) == 1]
+    out = []
+    for k in itertools.product(range(4), repeat=len(units)):
+        power = dict(zip(units, k))
+        if any(power[a * b % m] != (power[a] + power[b]) % 4 for a in units for b in units):
+            continue
+        values = tuple(_I_POWERS[power[r]] if r in power else 0j for r in range(m))
+        d = min(d for d in range(1, m + 1) if m % d == 0 and values == values[:d] * (m // d))
+        if d < m:
+            out.append(next(chi for chi in _characters(d) if chi.values == values[:d]))
+        else:
+            out.append(CharTable(f"chi_{m}_{len(out)}" if out else f"chi_0_{m}", m, values))
+    assert len(out) == len(units), f"mod {m} has characters of order above 4"
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -188,91 +184,45 @@ class RationalDecomposition:
     parity: str
     terms: tuple[Term, ...]
 
-    def coefficients(self, N: int) -> np.ndarray:
-        n = np.arange(1, N + 1)
-        total = np.zeros(N, dtype=complex)
-        for t in self.terms:
-            hit = n % t.dilation == 0
-            total[hit] += t.coeff * t.chi.on(n[hit] // t.dilation)
-        return total.real
 
-    @property
-    def period_lcm(self) -> int:
-        out = 1
-        for t in self.terms:
-            out = math.lcm(out, t.chi.period * t.dilation)
-        return out
+#: the denominators of the paper's rational alphas
+_DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 12)
 
-
-#: the 1/q rows, keyed by (q, parity); b/q follows in decompose_rational
-_DECOMPOSITIONS: dict[tuple[int, str], tuple[Term, ...]] = {
-    (1, "plus"): (),
-    (1, "minus"): (),
-    (2, "plus"): (),
-    (2, "minus"): (Term(2, CHI_0_2),),
-    (3, "plus"): (Term(_SQ3_2, LEG3),),
-    (3, "minus"): (Term(1.5, CHI_0_3),),
-    (4, "plus"): (Term(1, CHI4),),
-    (4, "minus"): (Term(1, CHI_0_2), Term(2, CHI_0_2, 2)),
-    (6, "plus"): (Term(_SQ3_2, CHI6), Term(_SQ3_2, LEG3, 2)),
-    (6, "minus"): (
-        Term(2, CHI_0_2, 3),
-        Term(0.5, CHI_0_3),
-        Term(1, CHI_0_3, 2),
-    ),
-    (8, "plus"): (Term(_SQ2_2, KRON_M2), Term(1, CHI4, 2)),
-    (8, "minus"): (
-        Term(1, CHI_0_2),
-        Term(1, CHI_0_2, 2),
-        Term(2, CHI_0_2, 4),
-        Term(-_SQ2_2, KRON_P2),
-    ),
-    (12, "plus"): (
-        Term(0.5, CHI12),
-        Term(_SQ3_2, CHI6, 2),
-        Term(1, CHI4, 3),
-        Term(_SQ3_2, LEG3, 4),
-    ),
-    (12, "minus"): (
-        Term(-_SQ3_2, KRON12),
-        Term(1, CHI_0_2),
-        Term(0.5, CHI_0_6, 2),
-        Term(1.5, CHI_0_3, 4),
-        Term(2, CHI_0_2, 6),
-    ),
-    (5, "plus"): (
-        Term((QUINTIC_A - 1j * QUINTIC_B) / 2, KAPPA),
-        Term((QUINTIC_A + 1j * QUINTIC_B) / 2, KAPPA_BAR),
-    ),
-    # NB: the coefficient pair here is (5/4, sqrt(5)/4); that is what the
-    # listed one-period values force (solve at n = 1, 2).
-    (5, "minus"): (Term(1.25, CHI_0_5), Term(-math.sqrt(5) / 4, LEG5)),
-}
-
-SUPPORTED_ALPHAS = sorted({
-    Fraction(b, q) for q, _ in _DECOMPOSITIONS for b in range(q // 2 + 1) if math.gcd(b, q) == 1
-})
+SUPPORTED_ALPHAS = sorted({Fraction(b, q) for q in _DENOMINATORS for b in range(q // 2 + 1)})
 
 
 def decompose_rational(alpha: Fraction | str, parity: str) -> RationalDecomposition:
     """Expand a_n^{±}(alpha) into dilated periodic multiplicative terms.
 
-    Only the 1/q rows are tabulated: a_n(b/q) = a_{bn}(1/q), and every
-    dilation d of a 1/q row divides q while gcd(b, q) = 1, so d | bn iff
-    d | n and chi(bn/d) = chi(b) chi(n/d).  The b/q row is thus the 1/q
-    row with each coefficient times chi(b), a value in {±1, ±i}, so the
-    product is exact.
+    For alpha = b/q and each divisor g of q, with m = q/g, the n with
+    gcd(n, q) = g are n = g n' with gcd(n', m) = 1, and there
+    a_n = f(b n'/m), f = sin(2 pi .) for plus and 1 - cos(2 pi .) for
+    minus.  On the units mod m, n' -> f(b n'/m) expands in the characters
+    mod m as sum_chi c_chi chi(n'), with
+    c_chi = (1/phi(m)) sum_{a in (Z/mZ)*} conj(chi(a)) f((ab mod m)/m)
+    (Davenport, Multiplicative Number Theory, ch. 9).  So the row is the
+    terms c_chi chi(n/g) over g and chi, zero coefficients dropped.  The
+    terms of one dilation are distinct characters mod m, so no two terms
+    share a character and a dilation.
     """
     alpha = Fraction(alpha)
-    if alpha not in SUPPORTED_ALPHAS or (alpha.denominator, parity) not in _DECOMPOSITIONS:
+    if alpha not in SUPPORTED_ALPHAS or parity not in ("plus", "minus"):
         raise UnsupportedAlphaError(
             f"no decomposition for alpha={alpha}, parity={parity}; supported "
             f"alphas: {', '.join(str(a) for a in SUPPORTED_ALPHAS)}"
         )
-    b = alpha.numerator
-    terms = tuple(replace(t, coeff=t.coeff * t.chi.at(b))
-                  for t in _DECOMPOSITIONS[alpha.denominator, parity])
-    return RationalDecomposition(alpha=alpha, parity=parity, terms=terms)
+    b, q = alpha.numerator, alpha.denominator
+    f = math.sin if parity == "plus" else (lambda t: 1 - math.cos(t))
+    terms = []
+    for g in (g for g in range(1, q + 1) if q % g == 0):
+        m = q // g
+        units = [a for a in range(m) if math.gcd(a, m) == 1]
+        wave = [f(2 * math.pi * (a * b % m) / m) for a in units]
+        for chi in _characters(m):
+            c = sum(chi.values[a % chi.period].conjugate() * w for a, w in zip(units, wave))
+            if abs(c) > 1e-12:  # else zero but for roundoff (sin(pi) is 1.2e-16)
+                terms.append(Term(c / len(units), chi, g))
+    return RationalDecomposition(alpha=alpha, parity=parity, terms=tuple(terms))
 
 
 # --------------------------------------------------------------------------
@@ -601,7 +551,7 @@ def xi_statistics(prime_cutoff: int = 1_000_000) -> XiStatistics:
     sel = primes[np.isin(primes % 5, (2, 3))]
     variance = float(np.sum(np.arctan(1.0 / sel) ** 2))
     tail = 1.0 / prime_cutoff
-    phi = math.atan(QUINTIC_B / QUINTIC_A)
+    phi = math.atan((math.sqrt(5) - 1) / 2)
     threshold = math.pi / 2 - phi
     return XiStatistics(
         variance=variance,

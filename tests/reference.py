@@ -6,7 +6,14 @@ from fractions import Fraction
 import numpy as np
 
 from legsums.primes import jacobi, primes_up_to
-from legsums.randmodel import _euler_sum, decompose_rational, prime_sign_matrix
+from legsums.randmodel import (
+    CharTable,
+    RationalDecomposition,
+    Term,
+    _euler_sum,
+    decompose_rational,
+    prime_sign_matrix,
+)
 
 
 def prime_sign(seed: int, p: int) -> int:
@@ -29,6 +36,108 @@ def x_of(n: int, sign_of) -> int:
             sign *= sign_of(p)
         p += 1
     return sign * sign_of(n) if n > 1 else sign
+
+
+# --------------------------------------------------------------------------
+# the decomposition rows typed by hand, the oracle for decompose_rational
+
+def _principal(q: int, name: str) -> CharTable:
+    values = tuple(1.0 if math.gcd(r, q) == 1 else 0.0 for r in range(q))
+    return CharTable(name=name, period=q, values=values)
+
+
+CHI_0_2 = _principal(2, "chi_0_2")
+CHI_0_3 = _principal(3, "chi_0_3")
+CHI_0_5 = _principal(5, "chi_0_5")
+CHI_0_6 = _principal(6, "chi_0_6")
+LEG3 = CharTable("legendre_mod3", 3, (0, 1, -1))
+LEG5 = CharTable("legendre_mod5", 5, (0, 1, -1, -1, 1))
+CHI4 = CharTable("chi4", 4, (0, 1, 0, -1))
+CHI6 = CharTable("chi6", 6, (0, 1, 0, 0, 0, -1))
+KRON_M2 = CharTable("kronecker_-2", 8, (0, 1, 0, 1, 0, -1, 0, -1))
+KRON_P2 = CharTable("kronecker_2", 8, (0, 1, 0, -1, 0, -1, 0, 1))
+CHI12 = CharTable("chi4*chi_0_3", 12, (0, 1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1))
+KRON12 = CharTable("kronecker_12", 12, (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1))
+KAPPA = CharTable("kappa_mod5", 5, (0, 1, 1j, -1j, -1))
+KAPPA_BAR = CharTable("kappa_mod5_bar", 5, tuple(complex(v).conjugate() for v in KAPPA.values))
+
+#: quintic amplitudes: sin(2 pi n / 5) = ((A - iB)/2) kappa(n) + conj term
+QUINTIC_A = math.sqrt((5 + math.sqrt(5)) / 8)
+QUINTIC_B = math.sqrt((5 - math.sqrt(5)) / 8)
+
+_SQ3_2 = math.sqrt(3) / 2
+_SQ2_2 = math.sqrt(2) / 2
+
+#: the 1/q rows, keyed by (q, parity); b/q follows in hand_decomposition
+HAND_ROWS: dict[tuple[int, str], tuple[Term, ...]] = {
+    (1, "plus"): (),
+    (1, "minus"): (),
+    (2, "plus"): (),
+    (2, "minus"): (Term(2, CHI_0_2),),
+    (3, "plus"): (Term(_SQ3_2, LEG3),),
+    (3, "minus"): (Term(1.5, CHI_0_3),),
+    (4, "plus"): (Term(1, CHI4),),
+    (4, "minus"): (Term(1, CHI_0_2), Term(2, CHI_0_2, 2)),
+    (6, "plus"): (Term(_SQ3_2, CHI6), Term(_SQ3_2, LEG3, 2)),
+    (6, "minus"): (
+        Term(2, CHI_0_2, 3),
+        Term(0.5, CHI_0_3),
+        Term(1, CHI_0_3, 2),
+    ),
+    (8, "plus"): (Term(_SQ2_2, KRON_M2), Term(1, CHI4, 2)),
+    (8, "minus"): (
+        Term(1, CHI_0_2),
+        Term(1, CHI_0_2, 2),
+        Term(2, CHI_0_2, 4),
+        Term(-_SQ2_2, KRON_P2),
+    ),
+    (12, "plus"): (
+        Term(0.5, CHI12),
+        Term(_SQ3_2, CHI6, 2),
+        Term(1, CHI4, 3),
+        Term(_SQ3_2, LEG3, 4),
+    ),
+    (12, "minus"): (
+        Term(-_SQ3_2, KRON12),
+        Term(1, CHI_0_2),
+        Term(0.5, CHI_0_6, 2),
+        Term(1.5, CHI_0_3, 4),
+        Term(2, CHI_0_2, 6),
+    ),
+    (5, "plus"): (
+        Term((QUINTIC_A - 1j * QUINTIC_B) / 2, KAPPA),
+        Term((QUINTIC_A + 1j * QUINTIC_B) / 2, KAPPA_BAR),
+    ),
+    # NB: the coefficient pair here is (5/4, sqrt(5)/4); that is what the
+    # listed one-period values force (solve at n = 1, 2).
+    (5, "minus"): (Term(1.25, CHI_0_5), Term(-math.sqrt(5) / 4, LEG5)),
+}
+
+
+def hand_decomposition(alpha: Fraction, parity: str) -> RationalDecomposition:
+    """The hand row of alpha = b/q: a_n(b/q) = a_{bn}(1/q), and every
+    dilation d of a 1/q row divides q while gcd(b, q) = 1, so d | bn iff
+    d | n and chi(bn/d) = chi(b) chi(n/d).  The b/q row is thus the 1/q
+    row with each coefficient times chi(b)."""
+    b = alpha.numerator
+    terms = tuple(Term(t.coeff * t.chi.values[b % t.chi.period], t.chi, t.dilation)
+                  for t in HAND_ROWS[alpha.denominator, parity])
+    return RationalDecomposition(alpha=alpha, parity=parity, terms=terms)
+
+
+def decomposition_coefficients(decomp: RationalDecomposition, N: int) -> np.ndarray:
+    """a_1 .. a_N summed from the terms of a decomposition."""
+    n = np.arange(1, N + 1)
+    total = np.zeros(N, dtype=complex)
+    for t in decomp.terms:
+        hit = n % t.dilation == 0
+        total[hit] += t.coeff * t.chi.on(n[hit] // t.dilation)
+    return total.real
+
+
+def period_lcm(decomp: RationalDecomposition) -> int:
+    """A common period of every term of a decomposition."""
+    return math.lcm(1, *(t.chi.period * t.dilation for t in decomp.terms))
 
 
 def kronecker_chi(a: int, n: int) -> int:

@@ -21,7 +21,7 @@ from legsums.fourier import fourier_partial
 from legsums.primes import jacobi, primes_up_to
 from legsums import randmodel as rm
 from legsums import tails
-from reference import gauss_sum, log_euler_identity, prime_sign, x_of
+from reference import CHI_0_5, gauss_sum, log_euler_identity, prime_sign, x_of
 
 INV_2PI = 0.15915494309189535
 INV_E = 0.36787944117144233
@@ -230,7 +230,7 @@ def test_criterion_6_twist_product():
     P = 10**5
     primes = primes_up_to(P)
     s = rm.prime_sign_matrix(np.array([0]), primes)[0]
-    prod = np.prod(rm._euler_sum((rm.Term(1, rm.CHI_0_5),), np.stack([s, -s]), primes, P)).real
+    prod = np.prod(rm._euler_sum((rm.Term(1, CHI_0_5),), np.stack([s, -s]), primes, P)).real
     target = 4 * math.pi**2 / 25
     assert abs(prod - target) / target <= 1e-4
 

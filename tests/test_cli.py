@@ -304,7 +304,7 @@ def test_decompose_reads_decimals_exactly(capsys):
     _, decimal = run(capsys, "decompose", "--alpha", "0.2", "--parity", "plus")
     _, fraction = run(capsys, "decompose", "--alpha", "1/5", "--parity", "plus")
     assert decimal == fraction
-    assert "kappa_mod5" in decimal
+    assert "chi_5_1" in decimal
 
 
 def test_moments_output(capsys):

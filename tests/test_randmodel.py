@@ -22,7 +22,8 @@ from legsums.randmodel import (
     squarefree_core,
     xi_statistics,
 )
-from reference import prime_sign, x_of
+import reference
+from reference import decomposition_coefficients, hand_decomposition, period_lcm, prime_sign, x_of
 
 SUPPORTED = [(alpha, parity) for alpha in rm.SUPPORTED_ALPHAS for parity in ("plus", "minus")]
 
@@ -100,9 +101,41 @@ def test_distinct_seeds_distinct_sequences():
 def test_decomposition_fidelity(alpha, parity):
     d = decompose_rational(alpha, parity)
     spec = CoefficientSpec(parity, alpha)
-    N = 4 * max(1, d.period_lcm)
-    err = np.max(np.abs(d.coefficients(N) - spec.coefficients(N)))
+    N = 4 * max(1, period_lcm(d))
+    err = np.max(np.abs(decomposition_coefficients(d, N) - spec.coefficients(N)))
     assert err < 1e-12
+
+
+@pytest.mark.parametrize("alpha,parity", SUPPORTED)
+def test_derived_row_gives_the_periodic_coefficients(alpha, parity):
+    # the exact periodic a_n: the argument reduced mod q before it is scaled
+    d = decompose_rational(alpha, parity)
+    N = 4 * period_lcm(d)
+    n = np.arange(1, N + 1)
+    theta = 2 * np.pi * (alpha.numerator * n % alpha.denominator) / alpha.denominator
+    exact = np.sin(theta) if parity == "plus" else 1 - np.cos(theta)
+    assert np.max(np.abs(decomposition_coefficients(d, N) - exact)) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha,parity", SUPPORTED)
+def test_derived_row_matches_the_hand_row(alpha, parity):
+    # 1/6 minus and 1/12, 5/12 minus differ in shape from the hand rows
+    # (E_6 = (1 - X_2/2) E_3) but not in value
+    derived = rm.euler_values_matrix(decompose_rational(alpha, parity), 10_000, prime_cutoff=1000)
+    hand = rm.euler_values_matrix(hand_decomposition(alpha, parity), 10_000, prime_cutoff=1000)
+    np.testing.assert_allclose(derived, hand, rtol=0, atol=5e-14)
+
+
+@pytest.mark.parametrize("alpha,parity", SUPPORTED)
+def test_derived_character_values_are_exact(alpha, parity):
+    d = decompose_rational(alpha, parity)
+    quintic = alpha.denominator == 5 and parity == "plus"
+    units = {0, 1, -1, 1j, -1j} if quintic else {0, 1, -1}
+    for t in d.terms:
+        assert all(v in units for v in t.chi.values), t.chi
+        if not quintic:
+            assert all(v.imag == 0 for v in t.chi.values), t.chi
+    assert len({(t.chi.values, t.dilation) for t in d.terms}) == len(d.terms)
 
 
 @pytest.mark.parametrize("alpha,parity", SUPPORTED)
@@ -112,8 +145,8 @@ def test_tables_completely_multiplicative(alpha, parity):
         for a in range(1, q):
             for b in range(1, q):
                 if math.gcd(a, q) == 1 and math.gcd(b, q) == 1:
-                    lhs = t.chi.at(a * b)
-                    rhs = complex(t.chi.at(a)) * complex(t.chi.at(b))
+                    lhs = t.chi.values[a * b % q]
+                    rhs = complex(t.chi.values[a]) * complex(t.chi.values[b])
                     assert abs(lhs - rhs) < 1e-12
 
 
@@ -142,9 +175,9 @@ def test_decompose_parses_strings_and_rejects_the_rest():
 
 
 def test_kappa_pinned_values():
-    assert rm.KAPPA.at(2) == 1j
-    assert rm.KAPPA.at(3) == -1j
-    assert rm.KAPPA.at(4) == -1
+    assert reference.KAPPA.values[2] == 1j
+    assert reference.KAPPA.values[3] == -1j
+    assert reference.KAPPA.values[4] == -1
 
 
 def test_quarter_plus_decomposition_shape():
@@ -277,7 +310,7 @@ def test_euler_eval_is_the_one_row_computation(sample):
         expected = _per_factor_euler(d, signs, primes)[0]
         value = rm._euler_sum(d.terms, row, primes, 500)[0].real
         assert value == pytest.approx(expected, rel=0, abs=1e-12)
-    for chi in (rm.CHI4, rm.KAPPA, rm.CHI_0_3):
+    for chi in (reference.CHI4, reference.KAPPA, reference.CHI_0_3):
         chi_p = np.array([complex(chi.values[p % chi.period]) for p in primes.tolist()])
         expected = np.prod(1.0 / (1.0 - chi_p * signs[0] / primes))
         assert abs(rm._euler_sum((rm.Term(1, chi),), row, primes, 500)[0] - expected) <= 1e-12
@@ -511,9 +544,9 @@ def test_twist_products():
     primes = primes_up_to(P)
     row = sign_row(3, primes)
     pair = np.stack([row, -row])
-    H = np.prod(rm._euler_sum((rm.Term(1, rm.CHI_0_5),), pair, primes, P))
+    H = np.prod(rm._euler_sum((rm.Term(1, reference.CHI_0_5),), pair, primes, P))
     assert abs(H.real - 4 * math.pi**2 / 25) < 1e-3
-    F = np.prod(rm._euler_sum((rm.Term(1, rm.CHI_0_2),), pair, primes, P))
+    F = np.prod(rm._euler_sum((rm.Term(1, reference.CHI_0_2),), pair, primes, P))
     assert abs(F.real - math.pi**2 / 8) < 1e-3
     # the twisted product is far from pi^2/9
     assert abs(F.real - math.pi**2 / 9) > 0.1
