@@ -233,28 +233,25 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_moments(args) -> int:
     alpha = args.alpha
-    spec = randmodel.CoefficientSpec(args.parity, alpha)
-    coeffs = spec.coefficients(args.truncation)
+    coeffs = randmodel.CoefficientSpec(args.parity, alpha).coefficients(args.truncation)
+    try:
+        exact = randmodel.moment_bundle(coeffs, max(args.k))
+    except ValueError as exc:  # k >= 5 with too many primes <= sqrt(N)
+        print(f"legsums: error: {exc}", file=sys.stderr)
+        return 2
     mc = randmodel.sample_series_matrix(
         coeffs[:, None], args.truncation, args.samples, args.seed
     )[:, 0]
-    kmax = max((k for k in args.k if k <= 4), default=0)
-    exact = randmodel.moment_bundle(coeffs, kmax) if kmax else {}
     rows = []
     for k in args.k:
-        direct = exact[k] if k in exact else randmodel.moment_direct(coeffs, k, cutoff=args.cutoff)
         powers = mc**k
         mc_mean = float(powers.mean())
         mc_se = float(powers.std(ddof=1) / math.sqrt(args.samples))
-        # a z-score only against an exact value, not the truncated k = 5, 6 sum
-        z = ((mc_mean - direct) / mc_se if mc_se else 0.0) if k in exact else ""
+        z = (mc_mean - exact[k]) / mc_se if mc_se else 0.0
         rows.append(
             {"alpha": str(alpha), "parity": args.parity, "k": k,
-             "direct": direct, "mc": mc_mean, "mc_se": mc_se, "z": z}
+             "direct": exact[k], "mc": mc_mean, "mc_se": mc_se, "z": z}
         )
-    if any(k not in exact for k in args.k):
-        print(f"legsums: note: direct for k > 4 sums only n <= --cutoff {args.cutoff}, "
-              "so it is not exact and has no z-score", file=sys.stderr)
     _emit(_rows_to_text(rows, args.format), args.out)
     return 0
 
@@ -368,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(2), default=100000,
                    help="Monte Carlo samples (at least 2, for a standard error)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cutoff", type=_int_at_least(1), default=300,
-                   help="outer cutoff for the k=5,6 divisor enumeration")
     common(p)
     p.set_defaults(func=_cmd_moments)
 

@@ -590,28 +590,14 @@ def _kernel_weights(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return support, w[support], w, large[support]
 
 
-def moment_direct(coeffs: np.ndarray, k: int, cutoff: int | None = None) -> float:
-    """Exact k-th moment of sum_{m<=N} a_m X_m / m over the random signs.
-
-    k <= 4 is computed exactly by grouping indices by squarefree kernel
-    (X_m = X_core(m)) and conditioning on the one prime factor above sqrt(N)
-    that a kernel can have; see `moment_bundle` for the identity.  k in
-    {5, 6} falls back to enumerating factorizations of n^2 for n <= cutoff.
-    Larger k is refused.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > 6:
-        raise ValueError(f"moment order {k} too large (combinatorial growth)")
-    if k <= 4:
-        return moment_bundle(coeffs, k)[k]
-    if cutoff is None:
-        raise ValueError(f"k={k} needs an explicit cutoff")
-    return _tau_moment(np.asarray(coeffs, dtype=np.float64), k, cutoff)
+def moment_direct(coeffs: np.ndarray, k: int) -> float:
+    """Exact k-th moment (1 <= k <= 6) of sum_{m<=N} a_m X_m / m over the
+    random signs: moment_bundle(coeffs, k)[k]."""
+    return moment_bundle(coeffs, k)[k]
 
 
 def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
-    """Exact moments for k = 1..kmax (kmax <= 4) of S = sum_{m<=N} a_m X_m / m.
+    """Exact moments for k = 1..kmax (kmax <= 6) of S = sum_{m<=N} a_m X_m / m.
 
     Folded onto squarefree kernels, S = sum_d w_d X_d, and a product of
     kernels has expectation 1 iff its xor product u*v/gcd(u,v)^2 is 1.  A
@@ -632,21 +618,32 @@ def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
     Q > 1 have 22,202 (1 block); the call takes about 0.1 s with a 3.7 MB
     tracemalloc peak.  At N = 3*10^4, 1/4 plus, the 4110 smooth kernels have
     8.4M pairs (256 blocks): about 1.7 s and 6.6 MB.
+
+    k = 5, 6 average over the 2^r sign vectors of the r primes <= sqrt(N)
+    (_cube_moments), so their cost doubles with each such prime: about 8 s
+    and a 34 MB tracemalloc peak at N = 10^4 (r = 25).  r is capped at
+    _CUBE_PRIMES: kmax >= 5 raises ValueError for N >= 11449 before any
+    work.
     """
-    if not 1 <= kmax <= 4:
-        raise ValueError(f"kmax must be in 1..4, got {kmax}")
+    if not 1 <= kmax <= 6:
+        raise ValueError(f"kmax must be in 1..6, got {kmax}")
     coeffs = np.asarray(coeffs, dtype=np.float64)
     N = len(coeffs)
+    small = primes_up_to(math.isqrt(N))
+    if kmax >= 5 and len(small) > _CUBE_PRIMES:
+        raise ValueError(
+            f"k >= 5 averages over 2^r sign vectors, r the primes <= sqrt(N); N = {N} has "
+            f"r = {len(small)}, above the {_CUBE_PRIMES} allowed (N < 11449)")
     j = np.arange(1, math.isqrt(N) + 1)
     out = {1: float(np.sum(coeffs[j * j - 1] / (j * j)))}
     if kmax >= 2:
         support, weights, w_full, large = _kernel_weights(coeffs)
         out[2] = float(np.sum(weights**2))
     if kmax >= 3:
-        out[3], fourth = _xor_convolution(support, weights, large, w_full)
-    if kmax == 4:
-        out[4] = fourth
-    return out
+        out[3], out[4] = _xor_convolution(support, weights, large, w_full)
+    if kmax >= 5:
+        out[5], out[6] = _cube_moments(support, weights, large, small)
+    return {k: out[k] for k in range(1, kmax + 1)}
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -759,36 +756,107 @@ def _block_convolution(
     return keys[new], np.add.reduceat(vals, new)
 
 
-def _tau_moment(coeffs: np.ndarray, k: int, cutoff: int) -> float:
-    """sum_{n <= cutoff} tau_k(n^2; a) / n^2 by recursive divisor splitting."""
-    N = len(coeffs)
+#: points of the sign cube per chunk of _cube_moments, which holds about a
+#: dozen float64 arrays of that length (a 34 MB tracemalloc peak at
+#: N = 10^4; 2^20 points peak at 136 MB and are no faster)
+_CUBE_CHUNK = 1 << 18
 
-    def a(m: int) -> float:
-        return coeffs[m - 1] if m <= N else 0.0
+#: the most primes <= sqrt(N) whose sign vectors _cube_moments walks: 27
+#: is N < 11449 = 107^2, about 4 times the 2^25 vectors of N = 10^4
+_CUBE_PRIMES = 27
 
-    def divisors(m: int) -> list[int]:
-        out = []
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.append(d)
-                if d != m // d:
-                    out.append(m // d)
-            d += 1
-        return out
+#: the Sylvester-Hadamard matrix of order 32, whose top-left block of
+#: order 2^g is that of order 2^g
+_HADAMARD = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * 5)
 
-    total = 0.0
-    for n in range(1, cutoff + 1):
-        target = n * n
-        memo: dict[tuple[int, int], float] = {}
 
-        def tau(m: int, j: int) -> float:
-            if j == 1:
-                return a(m)
-            key = (m, j)
-            if key not in memo:
-                memo[key] = sum(a(d) * tau(m // d, j - 1) for d in divisors(m))
-            return memo[key]
+def _walsh(v: np.ndarray) -> np.ndarray:
+    """The Walsh-Hadamard transform of v (length 2^s):
+    out[b] = sum_t v[t] (-1)^popcount(t & b).  The index bits go 5 at a
+    time, each group one product with the Hadamard matrix of its order
+    (3.5 times faster than add/subtract butterflies)."""
+    n, low = len(v), 1
+    while low < n:
+        g = min(32, n // low)
+        h = _HADAMARD[:g, :g]
+        v = v.reshape(-1, g) @ h if low == 1 else np.matmul(h, v.reshape(-1, g, low))
+        low *= g
+    return v.reshape(n)
 
-        total += tau(target, k) / target
-    return total
+
+def _cube_moments(
+    support: np.ndarray, weights: np.ndarray, large: np.ndarray, small: np.ndarray
+) -> tuple[float, float]:
+    """E S^5 and E S^6 of moment_bundle, averaged over the 2^r sign vectors
+    x of the r primes <= sqrt(N) (small): support, weights and large as
+    _kernel_weights gives them.
+
+    Given x, Y = sum_Q X_Q A_Q is a Rademacher sum, so its odd moments
+    vanish and, with B_j = sum_Q A_Q^j, E[Y^2|x] = B_2,
+    E[Y^4|x] = 3 B_2^2 - 2 B_4 and E[Y^6|x] = 15 B_2^3 - 30 B_2 B_4 + 16 B_6:
+
+        E S^5 = E[A_1^5 + 10 A_1^3 B_2 + 5 A_1 (3 B_2^2 - 2 B_4)],
+        E S^6 = E[A_1^6 + 15 A_1^4 B_2 + 15 A_1^2 (3 B_2^2 - 2 B_4)
+                  + 15 B_2^3 - 30 B_2 B_4 + 16 B_6].
+
+    X_m is the Walsh character of m's mask (bit i for the i-th small
+    prime), so one Walsh transform of a group's weights by mask gives it at
+    every x.  A_Q reads only the primes up to N/Q, the low s bits, s the
+    bit length of its largest mask.  The cube goes in chunks of 2^c points
+    b = h 2^c + low.  The groups with s <= c are transformed once on their
+    2^s points, where their A_Q^j are summed per s, and every chunk repeats
+    those sums.  A_1 and the wider groups are transformed per chunk, each
+    folded onto the chunk's low bits by the sign of its high bits against h.
+    """
+    if not len(weights):
+        return 0.0, 0.0
+    order = np.argsort(large, kind="stable")  # by Q, then by d
+    m, w, large = support[order] // large[order], weights[order], large[order]
+    mask = np.zeros(len(m), dtype=np.int64)
+    for i, p in enumerate(small.tolist()):
+        mask[m % p == 0] |= 1 << i
+    r = len(small)
+    c = min(r, _CUBE_CHUNK.bit_length() - 1)
+
+    def at(rows: slice, bits: int, h: int) -> np.ndarray:
+        """sum w X_m over rows at the points h 2^bits + low, low < 2^bits"""
+        t = (mask[rows] >> bits) & h
+        for shift in (16, 8, 4, 2, 1):  # t's parity; masks have at most 27 bits
+            t ^= t >> shift
+        folded = np.bincount(mask[rows] & ((1 << bits) - 1), weights=w[rows] * (1 - 2 * (t & 1)),
+                             minlength=1 << bits)
+        return _walsh(folded)
+
+    bounds = np.append(np.flatnonzero(np.diff(large, prepend=0)), len(m)).tolist()
+    smooth, wide, narrow = slice(0, 0), [], {}  # narrow: s -> its groups' A_Q^2, ^4, ^6
+    for a, b in zip(bounds, bounds[1:]):
+        s = int(mask[a:b].max()).bit_length()
+        if large[a] == 1:
+            smooth = slice(a, b)
+        elif s > c:
+            wide.append(slice(a, b))
+        else:
+            v = at(slice(a, b), s, 0) ** 2
+            narrow[s] = narrow.get(s, 0) + np.stack([v, v * v, v * v * v])
+    powers = np.zeros((3, 1 << c))  # B_2, B_4, B_6 of the groups with s <= c
+    for s, sums in narrow.items():
+        view = powers.reshape(3, -1, 1 << s)
+        view += sums[:, None]
+    fifth, sixth = [], []
+    for h in range(1 << (r - c)):
+        a = at(smooth, c, h)
+        b2, b4, b6 = powers.copy()
+        for rows in wide:
+            v = at(rows, c, h)
+            v *= v
+            b2 += v
+            v2 = v * v
+            b4 += v2
+            v2 *= v
+            b6 += v2
+        a2 = a * a
+        y4 = 3 * b2 * b2 - 2 * b4
+        fifth.append(np.sum(a * (a2 * (a2 + 10 * b2) + 5 * y4)))
+        sixth.append(np.sum(a2 * (a2 * (a2 + 15 * b2) + 15 * y4)
+                            + 15 * b2 * (b2 * b2 - 2 * b4) + 16 * b6))
+    return math.fsum(fifth) / 2**r, math.fsum(sixth) / 2**r

@@ -239,23 +239,25 @@ def test_criterion_6_twist_product():
 # 7. moment identity
 
 def test_criterion_7_moments_direct_vs_mc():
-    N, samples = 10**4, 10**5
+    samples = 10**5
     specs = [
         (alpha, parity)
         for alpha in (Fraction(1, 3), Fraction(1, 4))
         for parity in ("plus", "minus")
     ]
-    cols = np.column_stack(
-        [rm.CoefficientSpec(par, a).coefficients(N) for a, par in specs]
-    )
-    values = rm.sample_series_matrix(cols, N, samples, seed0=0)
-    for j, (alpha, parity) in enumerate(specs):
-        exact = rm.moment_bundle(cols[:, j])
-        for k in (2, 3, 4):
-            powers = values[:, j] ** k
-            mc = float(powers.mean())
-            se = float(powers.std(ddof=1) / math.sqrt(samples))
-            assert abs(mc - exact[k]) <= 3 * se, (alpha, parity, k, mc, exact[k], se)
+    # k = 5, 6 average over 2^pi(sqrt(N)) sign vectors, 2^16 at N = 3000
+    for N, orders in ((10**4, (2, 3, 4)), (3000, (5, 6))):
+        cols = np.column_stack(
+            [rm.CoefficientSpec(par, a).coefficients(N) for a, par in specs]
+        )
+        values = rm.sample_series_matrix(cols, N, samples, seed0=0)
+        for j, (alpha, parity) in enumerate(specs):
+            exact = rm.moment_bundle(cols[:, j], max(orders))
+            for k in orders:
+                powers = values[:, j] ** k
+                mc = float(powers.mean())
+                se = float(powers.std(ddof=1) / math.sqrt(samples))
+                assert abs(mc - exact[k]) <= 3 * se, (N, alpha, parity, k, mc, exact[k], se)
 
 
 # --------------------------------------------------------------------------

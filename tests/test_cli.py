@@ -173,11 +173,11 @@ def test_moments_direct_matches_moment_direct(capsys):
 
     code, out = run(capsys, "moments", "--alpha", "1/4", "--parity", "minus",
                     "--k", "2", "3", "4", "5", "--truncation", "300",
-                    "--samples", "500", "--cutoff", "40", "--format", "json")
+                    "--samples", "500", "--format", "json")
     assert code == 0
     c = randmodel.CoefficientSpec("minus", Fraction(1, 4)).coefficients(300)
     for row in json.loads(out):
-        expected = randmodel.moment_direct(c, row["k"], cutoff=40)
+        expected = randmodel.moment_direct(c, row["k"])
         assert row["direct"] == pytest.approx(expected, rel=1e-12)
 
 
@@ -234,8 +234,6 @@ def test_bad_numeric_input_exits_2(capsys, argv):
     (["certify", "--alpha", "abc"], "--alpha", "abc"),
     (["decompose", "--alpha", "1/0", "--parity", "plus"], "--alpha", "1/0"),
     (["fourier-check", "--alpha", "2/5", "--p", "101", "--truncation", "0"], "--truncation", "0"),
-    (["moments", "--alpha", "1/3", "--parity", "minus", "--k", "5", "--cutoff", "0"],
-     "--cutoff", "0"),
     (["density", "--alpha", "1.5", "--primes", "10"], "--alpha", "1.5"),
     (["density", "--alpha", "2/5", "--primes", "0"], "--primes", "0"),
     (["simulate", "--alpha", "1/3", "--prime-cutoff", "0"], "--prime-cutoff", "0"),
@@ -247,7 +245,7 @@ def test_bad_numeric_input_exits_2(capsys, argv):
     (["dirichlet", "--max-p", "0"], "--max-p", "0"),
     (["dirichlet", "--max-p", "-5"], "--max-p", "-5"),
 ], ids=["density-1/0", "simulate-1/0", "moments-1/0", "certify-abc", "decompose-1/0",
-        "fourier-truncation0", "moments-cutoff0", "density-alpha1.5", "density-primes0",
+        "fourier-truncation0", "density-alpha1.5", "density-primes0",
         "simulate-prime-cutoff0", "simulate-prime-cutoff1", "moments-alpha2",
         "simulate-series-alpha1.5", "certify-alpha5", "dirichlet-max-p2",
         "dirichlet-max-p0", "dirichlet-max-p-5"])
@@ -316,17 +314,16 @@ def test_moments_output(capsys):
     assert all(abs(r["z"]) < 4 for r in rows)
 
 
-def test_moments_truncated_orders_have_no_z(capsys):
+def test_moments_every_order_has_a_z(capsys):
     argv = ["moments", "--alpha", "1/3", "--parity", "minus", "--truncation", "300",
-            "--samples", "500", "--cutoff", "30"]
+            "--samples", "500"]
     code = main(argv + ["--k", "2", "3", "5", "6"])
     captured = capsys.readouterr()
     assert code == 0
     lines = captured.out.strip().splitlines()
-    assert [line.rsplit(",", 1)[1] != "" for line in lines[1:]] == [True, True, False, False]
-    assert len(captured.err.strip().splitlines()) == 1
-    assert "--cutoff 30" in captured.err
-    # the exact rows do not change when truncated orders are asked for too
+    assert [line.rsplit(",", 1)[1] != "" for line in lines[1:]] == [True] * 4
+    assert captured.err == ""
+    # the k <= 4 rows do not change when k = 5, 6 are asked for too
     code = main(argv + ["--k", "2", "3"])
     captured = capsys.readouterr()
     assert captured.out.strip().splitlines() == lines[:3]
@@ -337,7 +334,9 @@ def test_moments_truncated_orders_have_no_z(capsys):
     ["moments", "--alpha", "1/3", "--parity", "minus", "--samples", "2000"],
     ["simulate", "--alpha", "1/12", "--samples", "2500", "--prime-cutoff", "10000"],
     ["fourier-check", "--alpha", "2/5", "--p", "101"],
-], ids=["moments", "simulate", "fourier-check"])
+    ["moments", "--alpha", "1/3", "--parity", "minus", "--k", "5", "6", "--truncation", "3000",
+     "--samples", "2000"],
+], ids=["moments", "simulate", "fourier-check", "moments-k5-k6"])
 def test_output_does_not_depend_on_blas_threads(argv):
     # OpenBLAS splits long dot products and matrix products across its
     # threads, which can change the last bits of a sum
@@ -349,6 +348,24 @@ def test_output_does_not_depend_on_blas_threads(argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("N,k", [(11449, ["5"]), (11449, ["2", "6"]), (20000, ["6"])])
+def test_moments_refuses_k5_above_27_small_primes(monkeypatch, capsys, N, k):
+    from legsums import randmodel
+
+    def refuse(*args):
+        raise AssertionError("the refused pass did work")
+
+    monkeypatch.setattr(randmodel, "_kernel_weights", refuse)
+    monkeypatch.setattr(randmodel, "sample_series_matrix", refuse)
+    code = main(["moments", "--alpha", "1/3", "--parity", "minus", "--truncation", str(N),
+                 "--k", *k])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("legsums: error: ") and "11449" in lines[0]
 
 
 def test_certify_json(capsys):

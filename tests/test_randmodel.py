@@ -851,7 +851,7 @@ def test_moment_k5_exact_small():
         val = sum(c[n - 1] * x(n) / n for n in range(1, N + 1))
         total += val**5
     exact = total / 16
-    approx = moment_direct(c, 5, cutoff=320)
+    approx = moment_direct(c, 5)
     assert approx == pytest.approx(exact, abs=1e-9)
 
 
@@ -859,5 +859,108 @@ def test_moment_order_limits():
     c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(100)
     with pytest.raises(ValueError):
         moment_direct(c, 7)
-    with pytest.raises(ValueError):
-        moment_direct(c, 5)  # needs a cutoff
+
+
+def _exhaustive_moments(c, kmax=6):
+    """E S^k for k = 1..kmax averaged over every sign vector on the primes up
+    to N = len(c): bit i of b flips the sign of the i-th prime, and X_n is
+    the product of the signs of the primes of core(n), found by trial
+    division."""
+    N = len(c)
+    primes = primes_up_to(N).tolist()
+    b = np.arange(1 << len(primes))
+    s = np.zeros(len(b))
+    for n, core in enumerate(_trial_division_cores(N)[1:].tolist(), start=1):
+        odd = np.zeros(len(b), dtype=bool)
+        for i, p in enumerate(primes):
+            if core % p == 0:
+                odd ^= (b >> i) & 1 == 1
+        s += c[n - 1] / n * np.where(odd, -1.0, 1.0)
+    return [math.fsum(s**k) / len(s) for k in range(1, kmax + 1)]
+
+
+#: chunk sizes of the k = 5, 6 cube pass the oracles run at besides the
+#: default: at 2 points a chunk nearly every group is walked chunk by chunk
+CUBE_CHUNKS = (2, 16)
+
+
+def _at_each_cube_chunk(check):
+    """Run check() at the default _CUBE_CHUNK and at each of CUBE_CHUNKS."""
+    check()
+    for chunk in CUBE_CHUNKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rm, "_CUBE_CHUNK", chunk)
+            check()
+
+
+CUBE_SPECS = [(Fraction(1, 3), "minus"), (Fraction(1, 4), "plus"),
+              (Fraction(2, 5), "plus"), (Fraction(1, 12), "minus")]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 10, 40, 60])
+@pytest.mark.parametrize("alpha,parity", CUBE_SPECS)
+def test_moment_bundle_matches_exhaustive_enumeration(alpha, parity, N):
+    c = CoefficientSpec(parity, alpha).coefficients(N)
+    expected = _exhaustive_moments(c)
+
+    def check():
+        bundle = rm.moment_bundle(c, 6)
+        for k in range(1, 7):
+            assert bundle[k] == pytest.approx(expected[k - 1], rel=1e-12), k
+
+    _at_each_cube_chunk(check)
+
+
+@pytest.mark.parametrize("alpha,parity", CUBE_SPECS)
+def test_cube_moments_do_not_depend_on_the_chunk_size(monkeypatch, alpha, parity):
+    # 7 primes up to sqrt(300): 64 chunks of 2 points, 8 of 16
+    c = CoefficientSpec(parity, alpha).coefficients(300)
+    full = rm.moment_bundle(c, 6)
+    for chunk in CUBE_CHUNKS:
+        monkeypatch.setattr(rm, "_CUBE_CHUNK", chunk)
+        part = rm.moment_bundle(c, 6)
+        for k in (5, 6):
+            assert part[k] == pytest.approx(full[k], rel=1e-13, abs=0)
+        assert [part[k] for k in range(1, 5)] == [full[k] for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("N", [1, 3, 100, 1000])
+def test_moment_bundle_of_zero_coefficients_is_zero(N):
+    assert rm.moment_bundle(np.zeros(N), 6) == {k: 0.0 for k in range(1, 7)}
+
+
+def test_moment_bundle_refuses_k5_above_27_small_primes(monkeypatch):
+    c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(107**2)
+    assert len(rm.moment_bundle(c, 4)) == 4  # k <= 4 has no such limit
+
+    def refuse(*args):
+        raise AssertionError("the refused pass did work")
+
+    monkeypatch.setattr(rm, "_kernel_weights", refuse)
+    for k in (5, 6):
+        with pytest.raises(ValueError, match="r = 28"):
+            rm.moment_bundle(c, k)
+
+
+def test_moment_bundle_walks_27_small_primes(monkeypatch):
+    # N = 107^2 - 1 has the primes up to 103 below sqrt(N), 27 of them
+    walked = []
+    monkeypatch.setattr(rm, "_cube_moments", lambda *args: walked.append(len(args[-1])) or (1.0, 2.0))
+    bundle = rm.moment_bundle(CoefficientSpec("minus", Fraction(1, 3)).coefficients(107**2 - 1), 6)
+    assert walked == [27] and (bundle[5], bundle[6]) == (1.0, 2.0)
+
+
+@pytest.mark.slow
+def test_moment_bundle_k5_k6_at_the_moments_defaults():
+    # 2^25 sign vectors of the 25 primes below 100, in 128 chunks
+    c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(10**4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bundle = rm.moment_bundle(c, 6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert bundle[5] == pytest.approx(421.3481588149543, rel=1e-12)
+    assert bundle[6] == pytest.approx(1970.223833359823, rel=1e-12)
+    assert peak < 64 * 2**20
