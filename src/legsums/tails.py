@@ -13,7 +13,6 @@ in a small neighborhood of 1/3.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -30,7 +29,6 @@ __all__ = [
     "optimize_u",
     "sigma2_one_third",
     "zeta_ratio_check",
-    "tau_of_square",
     "distance_bound",
     "certify_neighborhood",
     "PRINTED",
@@ -125,59 +123,18 @@ def sigma2_one_third(prime_cutoff: int = 1_000_000) -> tuple[float, float, float
 # --------------------------------------------------------------------------
 # the divisor-series constant
 
-def tau_of_square(N: int) -> np.ndarray:
-    """tau(n^2) for 0 <= n <= N (index 0 unused, set to 0).
-
-    Built multiplicatively: a factor p^e in n contributes 2e + 1.
-    """
-    tau = np.ones(N + 1)
-    tau[0] = 0.0
-    for p in primes_up_to(N).tolist():
-        q = p
-        e = 1
-        while q <= N:
-            # lift multiples of p^e from weight 2e-1 to 2e+1
-            tau[q::q] *= (2 * e + 1) / (2 * e - 1)
-            q *= p
-            e += 1
-    return tau
-
-
 @dataclass(frozen=True)
 class ZetaRatioReport:
-    """The constant, and the partial sums up to N of the Dirichlet series
-    that check it.  The sums need tau(n^2) up to N, so they are computed on
-    first read: the certificate reads only `scaled`."""
+    """The constant, and N, the length to which the partial sums of its
+    Dirichlet series check it."""
 
     N: int
     ratio: float          # zeta(4/3)^3 / zeta(8/3)
     scaled: float         # ratio * 2^(4/3)
-    s2_target: float      # zeta(2)^3 / zeta(4)
 
     @property
     def below_92(self) -> bool:
         return self.scaled < 92
-
-    @functools.cached_property
-    def _tau(self) -> np.ndarray:
-        return tau_of_square(self.N)
-
-    def _partial(self, s: float) -> float:
-        """sum_{n<=N} tau(n^2)/n^s"""
-        n = np.arange(1, self.N + 1, dtype=np.float64)
-        return float(np.sum(self._tau[1:] / n**s))
-
-    @property
-    def partial_43(self) -> float:
-        return self._partial(4 / 3)
-
-    @property
-    def s2_partial(self) -> float:
-        return self._partial(2)
-
-    @property
-    def from_below(self) -> bool:
-        return self.partial_43 < self.ratio
 
 
 def zeta_ratio_check(N: int = 1_000_000) -> ZetaRatioReport:
@@ -185,8 +142,7 @@ def zeta_ratio_check(N: int = 1_000_000) -> ZetaRatioReport:
     s = 4/3, the value times 2^(4/3) stays below 92."""
     with mpmath.workdps(20):
         ratio = float(mpmath.zeta(mpmath.mpf(4) / 3) ** 3 / mpmath.zeta(mpmath.mpf(8) / 3))
-        s2_target = float(mpmath.zeta(2) ** 3 / mpmath.zeta(4))
-    return ZetaRatioReport(N=N, ratio=ratio, scaled=ratio * 2 ** (4 / 3), s2_target=s2_target)
+    return ZetaRatioReport(N=N, ratio=ratio, scaled=ratio * 2 ** (4 / 3))
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from legsums.primes import jacobi, primes_up_to
@@ -213,3 +214,37 @@ def log_euler_identity(signs: np.ndarray, P: int) -> tuple[float, float, float, 
                     norm_plus * math.exp(np.dot(half_log, leg3 * x)))
     err_minus, err_plus = (abs(prod - e) / abs(e) for prod, e in zip(products, exponentials))
     return err_minus, err_plus, norm_minus, norm_plus
+
+
+# --------------------------------------------------------------------------
+# the Dirichlet series of tau(n^2), zeta(s)^3 / zeta(2s), that checks the
+# constant of tails.zeta_ratio_check
+
+def tau_of_square(N: int) -> np.ndarray:
+    """tau(n^2) for 0 <= n <= N (index 0 unused, set to 0).
+
+    Built multiplicatively: a factor p^e in n contributes 2e + 1.
+    """
+    tau = np.ones(N + 1)
+    tau[0] = 0.0
+    for p in primes_up_to(N).tolist():
+        q = p
+        e = 1
+        while q <= N:
+            # lift multiples of p^e from weight 2e-1 to 2e+1
+            tau[q::q] *= (2 * e + 1) / (2 * e - 1)
+            q *= p
+            e += 1
+    return tau
+
+
+def tau_square_partial(N: int, s: float) -> float:
+    """sum_{n<=N} tau(n^2)/n^s"""
+    n = np.arange(1, N + 1, dtype=np.float64)
+    return float(np.sum(tau_of_square(N)[1:] / n**s))
+
+
+def s2_target() -> float:
+    """zeta(2)^3 / zeta(4), the series at s = 2"""
+    with mpmath.workdps(20):
+        return float(mpmath.zeta(2) ** 3 / mpmath.zeta(4))

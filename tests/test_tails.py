@@ -15,10 +15,9 @@ from legsums.tails import (
     negativity_bound,
     optimize_u,
     sigma2_one_third,
-    tau_of_square,
     zeta_ratio_check,
 )
-from reference import log_euler_identity
+from reference import log_euler_identity, s2_target, tau_of_square, tau_square_partial
 
 
 # --------------------------------------------------------------------------
@@ -172,28 +171,15 @@ def test_tau_of_square_multiplicative():
 def test_zeta_ratio_below_92():
     rep = zeta_ratio_check(10**5)
     assert rep.scaled < 92
-    assert rep.from_below
+    assert tau_square_partial(rep.N, 4 / 3) < rep.ratio  # from below
     assert rep.ratio == pytest.approx(rep.scaled / 2 ** (4 / 3))
 
 
 def test_zeta_ratio_s2_dirichlet_series():
     rep = zeta_ratio_check(10**6)
-    assert abs(rep.s2_partial - rep.s2_target) < 1e-3
-    assert rep.s2_partial < rep.s2_target
-
-
-def test_constants_does_not_compute_the_tau_sums(monkeypatch, capsys):
-    # the certificate reads only the scaled ratio; the tau(n^2) partial sums
-    # are computed on first read, which constants never makes
-    assert main(["constants"]) == 0
-    expected = capsys.readouterr().out
-
-    def refuse(N):
-        raise AssertionError("tau_of_square called")
-
-    monkeypatch.setattr(tails, "tau_of_square", refuse)
-    assert main(["constants"]) == 0
-    assert capsys.readouterr().out == expected
+    s2_partial, target = tau_square_partial(rep.N, 2), s2_target()
+    assert abs(s2_partial - target) < 1e-3
+    assert s2_partial < target
 
 
 def test_zeta_ratio_leaves_mpmath_precision_alone(capsys):
