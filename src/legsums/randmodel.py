@@ -109,9 +109,22 @@ class CoefficientSpec:
             raise ValueError(f"parity must be 'plus' or 'minus', got {self.parity!r}")
 
     def coefficients(self, N: int) -> np.ndarray:
-        n = np.arange(1, N + 1)
-        theta = 2 * math.pi * float(self.alpha) * n
-        return np.sin(theta) if self.parity == "plus" else 1 - np.cos(theta)
+        """a_1 .. a_N.  For a Fraction alpha = b/q the angle is 2 pi r/q from
+        the exact residue r = b n mod q, so a_n is periodic in n, and it is
+        exactly 0 where n alpha is in Z/2 (plus) or Z (minus, where
+        1 - cos(0) is 0 already).  A float alpha gives 2 pi alpha n."""
+        if not isinstance(self.alpha, Fraction):
+            theta = 2 * math.pi * float(self.alpha) * np.arange(1, N + 1)
+            return np.sin(theta) if self.parity == "plus" else 1 - np.cos(theta)
+        b, q = self.alpha.numerator, self.alpha.denominator
+        # Python integers where b n could overflow int64
+        r = np.arange(1, N + 1, dtype=np.int64 if q < 2**31 else object) * (b % q) % q
+        theta = 2 * math.pi * (r / q).astype(np.float64)
+        if self.parity == "minus":
+            return 1 - np.cos(theta)
+        a = np.sin(theta)
+        a[(2 * r % q == 0).astype(bool)] = 0.0
+        return a
 
 
 # --------------------------------------------------------------------------

@@ -118,6 +118,19 @@ def test_derived_row_gives_the_periodic_coefficients(alpha, parity):
 
 
 @pytest.mark.parametrize("alpha,parity", SUPPORTED)
+def test_coefficients_are_periodic_with_exact_zeros(alpha, parity):
+    # one period's values by math.sin / math.cos of 2 pi r/q, r = b n mod q
+    N, b, q = 10**5, alpha.numerator, alpha.denominator
+    a = CoefficientSpec(parity, alpha).coefficients(N)
+    r = np.array([b * n % q for n in range(1, N + 1)])
+    wave = [math.sin(2 * math.pi * x / q) if parity == "plus" else 1 - math.cos(2 * math.pi * x / q)
+            for x in range(q)]
+    assert np.max(np.abs(a - np.array(wave)[r])) <= 1e-15
+    zero = 2 * r % q == 0 if parity == "plus" else r == 0  # n alpha in Z/2, resp. Z
+    assert np.count_nonzero(a[zero]) == 0 and np.count_nonzero(a[~zero]) == np.count_nonzero(~zero)
+
+
+@pytest.mark.parametrize("alpha,parity", SUPPORTED)
 def test_derived_row_matches_the_hand_row(alpha, parity):
     # 1/6 minus and 1/12, 5/12 minus differ in shape from the hand rows
     # (E_6 = (1 - X_2/2) E_3) but not in value
