@@ -26,20 +26,6 @@ import numpy as np
 
 from .primes import primes_up_to
 
-__all__ = [
-    "CoefficientSpec",
-    "CharTable",
-    "Term",
-    "RationalDecomposition",
-    "UnsupportedAlphaError",
-    "decompose_rational",
-    "estimate_positivity",
-    "PositivityEstimate",
-    "sample_series_matrix",
-    "xi_statistics",
-    "moment_direct",
-    "squarefree_core",
-]
 
 # --------------------------------------------------------------------------
 # counter-based Rademacher signs
@@ -634,7 +620,7 @@ def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
 
     k = 5, 6 average over the 2^r sign vectors of the r primes <= sqrt(N)
     (_cube_moments), so their cost doubles with each such prime: about 8 s
-    and a 34 MB tracemalloc peak at N = 10^4 (r = 25).  r is capped at
+    and a 42 MB tracemalloc peak at N = 10^4 (r = 25).  r is capped at
     _CUBE_PRIMES: kmax >= 5 raises ValueError for N >= 11449 before any
     work.
     """
@@ -770,16 +756,16 @@ def _block_convolution(
 
 
 #: points of the sign cube per chunk of _cube_moments, which holds about a
-#: dozen float64 arrays of that length (a 34 MB tracemalloc peak at
-#: N = 10^4; 2^20 points peak at 136 MB and are no faster)
+#: dozen float64 arrays of that length (a 42 MB tracemalloc peak at
+#: N = 10^4; 2^20 points peak at 168 MB and are no faster)
 _CUBE_CHUNK = 1 << 18
 
 #: the most primes <= sqrt(N) whose sign vectors _cube_moments walks: 27
 #: is N < 11449 = 107^2, about 4 times the 2^25 vectors of N = 10^4
 _CUBE_PRIMES = 27
 
-#: the Sylvester-Hadamard matrix of order 32, whose top-left block of
-#: order 2^g is that of order 2^g
+#: the Sylvester-Hadamard matrix of order 32; its top-left 2^g × 2^g
+#: block is the one of order 2^g
 _HADAMARD = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * 5)
 
 
@@ -821,8 +807,6 @@ def _cube_moments(
     those sums.  A_1 and the wider groups are transformed per chunk, each
     folded onto the chunk's low bits by the sign of its high bits against h.
     """
-    if not len(weights):
-        return 0.0, 0.0
     order = np.argsort(large, kind="stable")  # by Q, then by d
     m, w, large = support[order] // large[order], weights[order], large[order]
     mask = np.zeros(len(m), dtype=np.int64)
@@ -842,26 +826,23 @@ def _cube_moments(
 
     bounds = np.append(np.flatnonzero(np.diff(large, prepend=0)), len(m)).tolist()
     smooth, wide, narrow = slice(0, 0), [], {}  # narrow: s -> its groups' A_Q^2, ^4, ^6
-    for a, b in zip(bounds, bounds[1:]):
-        s = int(mask[a:b].max()).bit_length()
-        if large[a] == 1:
-            smooth = slice(a, b)
+    for lo, hi in zip(bounds, bounds[1:]):
+        s = int(mask[lo:hi].max()).bit_length()
+        if large[lo] == 1:
+            smooth = slice(lo, hi)
         elif s > c:
-            wide.append(slice(a, b))
+            wide.append(slice(lo, hi))
         else:
-            v = at(slice(a, b), s, 0) ** 2
+            v = at(slice(lo, hi), s, 0) ** 2
             narrow[s] = narrow.get(s, 0) + np.stack([v, v * v, v * v * v])
-    powers = np.zeros((3, 1 << c))  # B_2, B_4, B_6 of the groups with s <= c
-    for s, sums in narrow.items():
-        view = powers.reshape(3, -1, 1 << s)
-        view += sums[:, None]
+    # B_2, B_4, B_6 of the groups with s <= c, the same in every chunk
+    powers = sum((np.tile(p, 1 << (c - s)) for s, p in narrow.items()), np.zeros((3, 1 << c)))
     fifth, sixth = [], []
     for h in range(1 << (r - c)):
         a = at(smooth, c, h)
         b2, b4, b6 = powers.copy()
         for rows in wide:
-            v = at(rows, c, h)
-            v *= v
+            v = at(rows, c, h) ** 2
             b2 += v
             v2 = v * v
             b4 += v2

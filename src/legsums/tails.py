@@ -21,19 +21,6 @@ import numpy as np
 
 from .primes import primes_up_to
 
-__all__ = [
-    "UOptimum",
-    "ZetaRatioReport",
-    "CertificationReport",
-    "negativity_bound",
-    "optimize_u",
-    "sigma2_one_third",
-    "zeta_ratio_check",
-    "distance_bound",
-    "certify_neighborhood",
-    "PRINTED",
-    "RECOMPUTED",
-]
 
 SIGMA2 = 0.395  # certified upper bound for the alpha = 1/3 sign variance
 
