@@ -20,11 +20,11 @@ PROGRAM = [path for folder in (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 
 def _read_names(node, skip=()) -> set[str]:
     """The names node reads, leaving out the subtrees in skip."""
-    names = set()
+    names, skipped = set(), {id(s) for s in skip}
     stack = [node]
     while stack:
         sub = stack.pop()
-        if any(sub is s for s in skip):
+        if id(sub) in skipped:
             continue
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             names.add(sub.id)
