@@ -1,15 +1,35 @@
 """Exact partial sums of Legendre symbols and positivity density scans.
 
-The central quantity is the partial sum of (n/p) over 1 <= n <= floor(alpha*p).
-The cutoff floor(alpha*p) is computed in exact integer arithmetic for every
-alpha, floats included: a float is a dyadic rational.  Every count comes from
-one primitive, the quadratic residues k^2 mod p for 1 <= k <= (p-1)/2, reduced
-from a table of squares that a scan shares across its primes and alphas.
+The central quantity is L(alpha, p), the partial sum of (n/p) over
+1 <= n <= m = floor(alpha*p).  The cutoff m is computed in exact integer
+arithmetic for every alpha, floats included: a float is a dyadic rational.
+Every count works on the squares k^2 for 1 <= k <= (p-1)/2, whose residues
+mod an odd prime p are the quadratic residues, each once, so that
+L(alpha, p) = 2 #{k : k^2 mod p <= m} - m.  A scan builds one table of
+squares and shares it across its primes, and counts in one of two ways:
+
+- Residues.  The squares are reduced mod p once per prime (three array
+  passes) and compared with every cutoff (two passes per alpha).  Scans with
+  several alphas run this, and so does everything that works on one prime
+  (legendre_sum, dirichlet_check).
+- Floor sum.  A scan with one alpha counts
+  #{k : k^2 mod p > m} = sum_k floor((k^2 + p - 1 - m)/p) - B_p
+  in three passes per prime and no comparison, with
+  B_p = sum_k floor(k^2/p) = (sum_k k^2 - S_p)/p.  The quadratic residues
+  sum to S_p = p(p-1)/4 for p ≡ 1 (mod 4), and to p(p-1-2h(-p))/4 for
+  p ≡ 3 (mod 4), p > 3, by Dirichlet's class number formula (Davenport,
+  *Multiplicative Number Theory*, ch. 6).  The class numbers h(-p) of a
+  scan's primes come from one sieve of reduced binary quadratic forms.
+
+The floor sum costs three passes per alpha against the residues' two, so it
+would slow a scan with several alphas, and sieving the class numbers up to
+one large prime costs O(p^{3/2}) where its residues cost O(p).
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,7 +85,10 @@ def alpha_cutoff(alpha: Alpha, p):
 
 def _squares(h: int) -> np.ndarray:
     """k^2 for 1 <= k <= h, in the narrowest unsigned dtype that holds h^2
-    (uint32 up to h = 65535, that is p <= 131071; uint64 above)."""
+    (uint32 up to h = 65535, that is p <= 131071; uint64 above).
+
+    The same dtype holds k^2 + 2h <= (h+1)^2 - 1, the largest value the floor
+    count forms: at h = 65535 that is exactly 2^32 - 1."""
     dtype = np.uint32 if h * h <= np.iinfo(np.uint32).max else np.uint64
     k = np.arange(1, h + 1, dtype=dtype)
     return np.multiply(k, k, out=k)
@@ -149,6 +172,82 @@ def _scan_chunk(primes: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
     return np.array(sums, dtype=np.int64).T
 
 
+def _floor_chunk(primes: np.ndarray, cutoffs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """L(alpha, p_i) for the chunk's primes and one alpha, from the floor sum.
+
+    cutoffs[i] = floor(alpha p_i) and offsets[i] = B_{p_i} (_floor_offsets).
+    The sum over k is reduced in the table's own dtype and may wrap around,
+    which does no harm: the count it gives, after B_p is taken away modulo
+    the same power of two, lies in [0, (p-1)/2].
+    """
+    squares = _squares((int(primes[-1]) - 1) // 2)
+    shifted = np.empty_like(squares)
+    totals = np.zeros(len(primes), dtype=squares.dtype)
+    for i, (p, m) in enumerate(zip(primes.tolist(), cutoffs.tolist())):
+        if p == 2:  # L(alpha, 2) = 0 by convention (see DensityReport)
+            continue
+        h = (p - 1) // 2
+        t = np.add(squares[:h], p - 1 - m, out=shifted[:h])
+        np.floor_divide(t, p, out=t)
+        totals[i] = np.add.reduce(t, dtype=t.dtype)
+    above = (totals - offsets.astype(totals.dtype)).astype(np.int64)
+    sums = primes - 1 - cutoffs - 2 * above
+    sums[primes == 2] = 0
+    return sums
+
+
+# the reduced forms of discriminant -(4j + 3) at index j, sieved on first use
+# and again, wider, whenever a scan reaches past them
+_forms_lock = threading.Lock()
+_forms = np.zeros(0, dtype=np.int32)
+
+
+def _count_reduced_forms(limit: int) -> np.ndarray:
+    """The number of reduced forms of discriminant -(4j + 3), for every
+    4j + 3 <= limit: class_number_h's count, for all such j at once.
+
+    b is odd, so 4ac - b^2 = 4j + 3 with j = ac - (b^2 + 3)/4, and as c runs
+    up from a each (a, b) adds an arithmetic progression of step a in j.
+    O(limit^{3/2}) work in about limit/12 strided adds, one per (a, b).
+    """
+    counts = np.zeros((limit - 3) // 4 + 1, dtype=np.int32)
+    a = 1
+    while 3 * a * a <= limit:
+        for b in range(1, a + 1, 2):
+            j = a * a - (b * b + 3) // 4
+            if j < len(counts):
+                counts[j] += 1  # c = a: the b > 0 form only
+                counts[j + a :: a] += 2 if b < a else 1  # c > a: ±b unless b = a
+        a += 1
+    return counts
+
+
+def _class_numbers(primes: np.ndarray) -> np.ndarray:
+    """h(-p) for each p ≡ 3 (mod 4) of the ascending array primes, and 0 for
+    the other primes."""
+    global _forms
+    top = int(primes[-1])
+    with _forms_lock:
+        if 4 * len(_forms) - 1 < top:
+            _forms = _count_reduced_forms(top)
+        forms = _forms
+    three = primes % 4 == 3
+    h = np.zeros_like(primes)
+    h[three] = forms[primes[three] // 4]
+    return h
+
+
+def _floor_offsets(primes: np.ndarray) -> np.ndarray:
+    """B_p = sum_{k <= (p-1)/2} floor(k^2/p) for each prime (0 at p = 2).
+
+    With h = (p-1)/2, sum_k k^2 = h(h+1)p/6, so B_p = (h(h-2) + 3h(-p))/6 for
+    p ≡ 3 (mod 4), p > 3, and h(h-2)/6 for p ≡ 1 (mod 4).  At p = 3, where
+    S_3 = 1, the floor of (h(h-2) + 3h(-3))/6 = 2/6 is B_3 = 0 all the same.
+    """
+    h = (primes - 1) // 2
+    return (h * (h - 2) + 3 * _class_numbers(primes)) // 6
+
+
 def _tally(alpha: Alpha, sums: np.ndarray, mod4: np.ndarray) -> DensityReport:
     """The report of one row of partial sums, with mod4 = primes % 4."""
     nonneg, strict = sums >= 0, sums > 0
@@ -160,10 +259,11 @@ def _tally(alpha: Alpha, sums: np.ndarray, mod4: np.ndarray) -> DensityReport:
 def density_sweep(alphas, sizes, threads: int = 1) -> list[list[DensityReport]]:
     """Density reports for every alpha and every prime count, in one pass.
 
-    The first max(sizes) primes are reduced once each; every alpha is
-    counted from the same residues, and each size is read off as a prefix
-    of the per-prime sums.  Returns reports[i][j] for alphas[i], sizes[j].
-    The counts are integer-exact and independent of the thread count.
+    One alpha is counted from the floor sum; several alphas from the
+    residues, which the first max(sizes) primes are reduced to once each
+    (see the module docstring).  Each size is read off as a prefix of the
+    per-prime sums.  Returns reports[i][j] for alphas[i], sizes[j].  The
+    counts are integer-exact and independent of the thread count.
     """
     alphas, sizes = list(alphas), list(sizes)
     for alpha in alphas:
@@ -175,6 +275,7 @@ def density_sweep(alphas, sizes, threads: int = 1) -> list[list[DensityReport]]:
     primes = first_primes(max(sizes))
     cutoffs = np.stack([alpha_cutoff(alpha, primes) for alpha in alphas])
     sums = np.empty(cutoffs.shape, dtype=np.int64)
+    offsets = _floor_offsets(primes) if len(alphas) == 1 else None
     # work grows with p: many small chunks keep the threads evenly loaded
     chunks = 1 if threads <= 1 else 4 * threads
     bounds = np.linspace(0, len(primes), chunks + 1).astype(int).tolist()
@@ -182,7 +283,10 @@ def density_sweep(alphas, sizes, threads: int = 1) -> list[list[DensityReport]]:
 
     def scan(span):
         a, b = span
-        sums[:, a:b] = _scan_chunk(primes[a:b], cutoffs[:, a:b])
+        if offsets is None:
+            sums[:, a:b] = _scan_chunk(primes[a:b], cutoffs[:, a:b])
+        else:
+            sums[0, a:b] = _floor_chunk(primes[a:b], cutoffs[0, a:b], offsets[a:b])
 
     if threads <= 1:
         scan(spans[0])

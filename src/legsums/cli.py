@@ -210,9 +210,16 @@ def _cmd_decompose(args) -> int:
         print(f"legsums: error: {exc}", file=sys.stderr)
         return 2
 
+    def real(x: float) -> str:
+        # repr reads back as the same float; an integral value drops its ".0"
+        return repr(x).removesuffix(".0")
+
     def number(z) -> str:
         z = complex(z)
-        return format(z if z.imag else z.real, "g")
+        if not z.imag:
+            return real(z.real)
+        imag = real(z.imag)
+        return f"{real(z.real)}{'' if imag.startswith('-') else '+'}{imag}j"
 
     rows = [
         {

@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +23,10 @@ from legsums.charsum import (
     legendre_sum,
     parse_alpha,
 )
-from legsums.primes import jacobi, primes_up_to
+from legsums.cli import main
+from legsums.primes import first_primes, jacobi, primes_up_to
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ODD_PRIMES = [p for p in primes_up_to(300).tolist() if p > 2]
 odd_primes_st = st.sampled_from(ODD_PRIMES)
@@ -208,6 +216,13 @@ def test_engine_matches_jacobi_prefix_at_dtype_switch(p):
     # the same prime reduced from a wider (uint64) table gives the same sums
     wide = charsum._scan_chunk(np.array([3, p, 262147]), np.array([[0, m, 0] for m in cuts]))
     assert wide[:, 1].tolist() == sums[:, 0].tolist()
+    # each cut as a one-cutoff scan, which counts from the floor sum; at
+    # p = 131071 and m = 0 its k^2 + p - 1 reaches 2^32 - 1, the uint32 limit
+    for primes, i in ((np.array([p]), 0), (np.array([3, p, 262147]), 1)):
+        offsets = charsum._floor_offsets(primes)
+        floors = [charsum._floor_chunk(primes, np.where(primes == p, m, 0), offsets)[i]
+                  for m in cuts]
+        assert floors == [prefix[m] for m in cuts]
     residues = charsum._quadratic_residues(p)
     assert sorted(residues.tolist()) == sorted({k * k % p for k in range(1, p)})
 
@@ -248,11 +263,12 @@ def test_density_counters_match_per_prime_sums():
 def test_sweep_thread_invariance_across_dtype_switch():
     # 12300 primes run past 131071 (the 12251st prime): with four threads
     # the early chunks reduce uint32 tables and the last a uint64 one, while
-    # one thread reduces everything from a single uint64 table
-    alphas = [Fraction(2, 5), 0.15915494309189535]
-    one = density_sweep(alphas, [12300], threads=1)
-    four = density_sweep(alphas, [12300], threads=4)
-    assert one == four
+    # one thread reduces everything from a single uint64 table; two alphas
+    # count from the residues, one from the floor sum
+    for alphas in ([Fraction(2, 5), 0.15915494309189535], [Fraction(2, 5)]):
+        one = density_sweep(alphas, [12300], threads=1)
+        four = density_sweep(alphas, [12300], threads=4)
+        assert one == four, alphas
 
 
 def test_density_sweep_rejects_bad_input():
@@ -262,3 +278,63 @@ def test_density_sweep_rejects_bad_input():
         density_sweep([], [10])
     with pytest.raises(ValueError):
         density_sweep([1.5], [10])
+
+
+# --------------------------------------------------------------------------
+# the floor-sum count of one-alpha scans
+
+def test_sieved_class_numbers_and_floor_offsets():
+    primes = primes_up_to(19997)
+    assert primes[-1] == 19997
+    # the sieve up to exactly the largest prime, so its top edge is reached
+    forms = charsum._count_reduced_forms(19997)
+    threes = [p for p in primes.tolist() if p % 4 == 3 and p >= 7]
+    assert [int(forms[p // 4]) for p in threes] == [class_number_h(p) for p in threes]
+    assert charsum._class_numbers(primes)[primes % 4 == 3].tolist() == [
+        int(forms[p // 4]) for p in primes.tolist() if p % 4 == 3]
+    # B_p against the direct sum of floor(k^2/p), p = 3 and 5 included
+    odd = primes[1:]
+    direct = [int((np.arange(1, (p - 1) // 2 + 1) ** 2 // p).sum()) for p in odd.tolist()]
+    assert odd[:2].tolist() == [3, 5]
+    assert charsum._floor_offsets(odd).tolist() == direct
+
+
+def test_class_number_table_is_empty_after_import():
+    code = "from legsums import charsum; print(len(charsum._forms))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
+    assert out == "0\n"
+
+
+def test_one_prime_paths_never_build_the_class_number_table(monkeypatch, capsys):
+    def refuse(limit):
+        raise AssertionError("the class number sieve ran")
+
+    monkeypatch.setattr(charsum, "_forms", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(charsum, "_count_reduced_forms", refuse)
+    assert legendre_sum(Fraction(1, 3), 131071) == sum(jacobi(n, 131071) for n in range(1, 43691))
+    assert dirichlet_check(1999).ok
+    assert main(["fourier-check", "--alpha", "2/5", "--p", "1999"]) == 0
+    assert main(["dirichlet", "--max-p", "200"]) == 0
+    capsys.readouterr()
+    assert len(charsum._forms) == 0
+    # a one-alpha scan does reach the sieve this test refuses
+    with pytest.raises(AssertionError, match="sieve ran"):
+        density_scan(Fraction(2, 5), 10)
+
+
+def test_one_alpha_scan_memory(monkeypatch):
+    # the squares table and one buffer of (p-1)/2 uint32 each (about 0.2 MB
+    # at the 10^4th prime), the freshly sieved class number table (0.1 MB)
+    # and the per-prime cutoffs; the residue path peaked at 3.1 MB here
+    first_primes(10**4)
+    monkeypatch.setattr(charsum, "_forms", np.zeros(0, dtype=np.int32))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        density_scan(Fraction(2, 5), 10**4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(charsum._forms) > 0
+    assert peak < 2 * 2**20

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from legsums import randmodel
 from legsums.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -303,6 +305,24 @@ def test_decompose_reads_decimals_exactly(capsys):
     _, fraction = run(capsys, "decompose", "--alpha", "1/5", "--parity", "plus")
     assert decimal == fraction
     assert "chi_5_1" in decimal
+
+
+@pytest.mark.parametrize("parity", ["plus", "minus"])
+@pytest.mark.parametrize("alpha", [str(a) for a in randmodel.SUPPORTED_ALPHAS])
+def test_decompose_json_reads_back_exactly(capsys, alpha, parity):
+    code, out = run(capsys, "decompose", "--alpha", alpha, "--parity", parity, "--format", "json")
+    assert code == 0
+    terms = randmodel.decompose_rational(Fraction(alpha), parity).terms
+    rows = json.loads(out)
+    if not terms:
+        assert [r["character"] for r in rows] == ["(empty)"]
+        return
+    assert len(rows) == len(terms)
+    for row, t in zip(rows, terms):
+        assert complex(row["coeff"]) == complex(t.coeff)
+        assert [complex(v) for v in row["values"].split()] == [complex(v) for v in t.chi.values]
+        assert (row["character"], row["period"], row["dilation"]) == (
+            t.chi.name, t.chi.period, t.dilation)
 
 
 def test_moments_output(capsys):
