@@ -232,9 +232,9 @@ def _class_numbers(primes: np.ndarray) -> np.ndarray:
             _forms = _count_reduced_forms(top)
         forms = _forms
     three = primes % 4 == 3
-    h = np.zeros_like(primes)
-    h[three] = forms[primes[three] // 4]
-    return h
+    numbers = np.zeros_like(primes)
+    numbers[three] = forms[primes[three] // 4]
+    return numbers
 
 
 def _floor_offsets(primes: np.ndarray) -> np.ndarray:
