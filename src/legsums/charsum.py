@@ -222,9 +222,14 @@ def _count_reduced_forms(limit: int) -> np.ndarray:
     return counts
 
 
-def _class_numbers(primes: np.ndarray) -> np.ndarray:
-    """h(-p) for each p ≡ 3 (mod 4) of the ascending array primes, and 0 for
-    the other primes."""
+def _floor_offsets(primes: np.ndarray) -> np.ndarray:
+    """B_p = sum_{k <= (p-1)/2} floor(k^2/p) for each prime of the ascending
+    array primes (0 at p = 2).
+
+    With h = (p-1)/2, sum_k k^2 = h(h+1)p/6, so B_p = (h(h-2) + 3h(-p))/6 for
+    p ≡ 3 (mod 4), p > 3, and h(h-2)/6 for p ≡ 1 (mod 4).  At p = 3, where
+    S_3 = 1, the floor of (h(h-2) + 3h(-3))/6 = 2/6 is B_3 = 0 all the same.
+    """
     global _forms
     top = int(primes[-1])
     with _forms_lock:
@@ -232,20 +237,10 @@ def _class_numbers(primes: np.ndarray) -> np.ndarray:
             _forms = _count_reduced_forms(top)
         forms = _forms
     three = primes % 4 == 3
-    numbers = np.zeros_like(primes)
-    numbers[three] = forms[primes[three] // 4]
-    return numbers
-
-
-def _floor_offsets(primes: np.ndarray) -> np.ndarray:
-    """B_p = sum_{k <= (p-1)/2} floor(k^2/p) for each prime (0 at p = 2).
-
-    With h = (p-1)/2, sum_k k^2 = h(h+1)p/6, so B_p = (h(h-2) + 3h(-p))/6 for
-    p ≡ 3 (mod 4), p > 3, and h(h-2)/6 for p ≡ 1 (mod 4).  At p = 3, where
-    S_3 = 1, the floor of (h(h-2) + 3h(-3))/6 = 2/6 is B_3 = 0 all the same.
-    """
+    class_numbers = np.zeros_like(primes)
+    class_numbers[three] = forms[primes[three] // 4]
     h = (primes - 1) // 2
-    return (h * (h - 2) + 3 * _class_numbers(primes)) // 6
+    return (h * (h - 2) + 3 * class_numbers) // 6
 
 
 def _tally(alpha: Alpha, sums: np.ndarray, mod4: np.ndarray) -> DensityReport:

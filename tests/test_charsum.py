@@ -290,9 +290,8 @@ def test_sieved_class_numbers_and_floor_offsets():
     forms = charsum._count_reduced_forms(19997)
     threes = [p for p in primes.tolist() if p % 4 == 3 and p >= 7]
     assert [int(forms[p // 4]) for p in threes] == [class_number_h(p) for p in threes]
-    assert charsum._class_numbers(primes)[primes % 4 == 3].tolist() == [
-        int(forms[p // 4]) for p in primes.tolist() if p % 4 == 3]
-    # B_p against the direct sum of floor(k^2/p), p = 3 and 5 included
+    # B_p, which reads the class numbers from the module's table, against
+    # the direct sum of floor(k^2/p), p = 3 and 5 included
     odd = primes[1:]
     direct = [int((np.arange(1, (p - 1) // 2 + 1) ** 2 // p).sum()) for p in odd.tolist()]
     assert odd[:2].tolist() == [3, 5]
@@ -326,7 +325,8 @@ def test_one_prime_paths_never_build_the_class_number_table(monkeypatch, capsys)
 def test_one_alpha_scan_memory(monkeypatch):
     # the squares table and one buffer of (p-1)/2 uint32 each (about 0.2 MB
     # at the 10^4th prime), the freshly sieved class number table (0.1 MB)
-    # and the per-prime cutoffs; the residue path peaked at 3.1 MB here
+    # and the per-prime cutoffs; the residue count's per-prime lists (3.1 MB)
+    # would not fit
     first_primes(10**4)
     monkeypatch.setattr(charsum, "_forms", np.zeros(0, dtype=np.int32))
     tracemalloc.start()
