@@ -233,7 +233,7 @@ def _floor_offsets(primes: np.ndarray) -> np.ndarray:
     global _forms
     top = int(primes[-1])
     with _forms_lock:
-        if 4 * len(_forms) - 1 < top:
+        if len(_forms) <= (top - 3) // 4:
             _forms = _count_reduced_forms(top)
         forms = _forms
     three = primes % 4 == 3

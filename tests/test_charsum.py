@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
@@ -316,10 +317,51 @@ def test_one_prime_paths_never_build_the_class_number_table(monkeypatch, capsys)
     assert main(["fourier-check", "--alpha", "2/5", "--p", "1999"]) == 0
     assert main(["dirichlet", "--max-p", "200"]) == 0
     capsys.readouterr()
-    assert len(charsum._forms) == 0
     # a one-alpha scan does reach the sieve this test refuses
     with pytest.raises(AssertionError, match="sieve ran"):
         density_scan(Fraction(2, 5), 10)
+
+
+def test_class_number_table_is_sieved_once_per_growth(monkeypatch):
+    # the 10^4th prime, 104729, is 1 (mod 4): the table sieved up to it has
+    # no entry for it, and needs none
+    sieved = []
+    sieve = charsum._count_reduced_forms
+    monkeypatch.setattr(charsum, "_forms", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(charsum, "_count_reduced_forms",
+                        lambda limit: sieved.append(limit) or sieve(limit))
+    for n in (1000, 10**4, 10**4, 1000, 10**4):
+        density_scan(Fraction(2, 5), n)
+    assert sieved == [7919, 104729]
+
+
+def test_class_number_table_grows_safely_under_threads(monkeypatch):
+    # scans of growing sizes in more threads than cores, each starting from
+    # an empty table, with thread switches forced often: every scan must see
+    # a table that covers its primes
+    sizes = [40 * k for k in range(1, 25)]
+    serial = [density_scan(Fraction(2, 5), n) for n in sizes]
+    monkeypatch.setattr(charsum, "_forms", np.zeros(0, dtype=np.int32))
+    results = [None] * len(sizes)
+
+    def work(offset):
+        for i in range(offset, len(sizes), 8):
+            results[i] = density_scan(Fraction(2, 5), sizes[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
+    # the table only grows: a smaller sieve finishing late must not replace it
+    assert len(charsum._forms) > (first_primes(max(sizes))[-1] - 3) // 4
 
 
 def test_one_alpha_scan_memory(monkeypatch):
