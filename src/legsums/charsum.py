@@ -10,8 +10,7 @@ squares and shares it across its primes, and counts in one of two ways:
 
 - Residues.  The squares are reduced mod p once per prime (three array
   passes) and compared with every cutoff (two passes per alpha).  Scans with
-  several alphas run this, and so does everything that works on one prime
-  (legendre_sum, dirichlet_check).
+  several alphas run this, and so does legendre_sum, a one-prime run of it.
 - Floor sum.  A scan with one alpha counts
   #{k : k^2 mod p > m} = sum_k floor((k^2 + p - 1 - m)/p) - B_p
   in three passes per prime and no comparison, with
@@ -20,6 +19,10 @@ squares and shares it across its primes, and counts in one of two ways:
   p ≡ 3 (mod 4), p > 3, by Dirichlet's class number formula (Davenport,
   *Multiplicative Number Theory*, ch. 6).  The class numbers h(-p) of a
   scan's primes come from one sieve of reduced binary quadratic forms.
+
+dirichlet_checks checks that table: it counts the half-length sums of every
+odd prime up to a bound from the residues, which read no class number, and
+compares them with L(1/2, p) = (2 - (2/p)) h(-p), read from the table.
 
 The floor sum costs three passes per alpha against the residues' two, so it
 would slow a scan with several alphas, and sieving the class numbers up to
@@ -36,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .primes import first_primes, is_prime, jacobi
+from .primes import first_primes, is_prime, jacobi, primes_up_to
 
 __all__ = [
     "DensityReport",
@@ -46,8 +49,7 @@ __all__ = [
     "legendre_sum",
     "density_scan",
     "density_sweep",
-    "class_number_h",
-    "dirichlet_check",
+    "dirichlet_checks",
 ]
 
 Alpha = Fraction | float | int
@@ -197,18 +199,19 @@ def _floor_chunk(primes: np.ndarray, cutoffs: np.ndarray, offsets: np.ndarray) -
 
 
 # the reduced forms of discriminant -(4j + 3) at index j, sieved on first use
-# and again, wider, whenever a scan reaches past them
+# and again, wider, whenever a lookup reaches past them
 _forms_lock = threading.Lock()
 _forms = np.zeros(0, dtype=np.int32)
 
 
 def _count_reduced_forms(limit: int) -> np.ndarray:
-    """The number of reduced forms of discriminant -(4j + 3), for every
-    4j + 3 <= limit: class_number_h's count, for all such j at once.
+    """The number of reduced forms (a, b, c) of discriminant
+    b^2 - 4ac = -(4j + 3), for every 4j + 3 <= limit.
 
-    b is odd, so 4ac - b^2 = 4j + 3 with j = ac - (b^2 + 3)/4, and as c runs
-    up from a each (a, b) adds an arithmetic progression of step a in j.
-    O(limit^{3/2}) work in about limit/12 strided adds, one per (a, b).
+    Reduced means |b| <= a <= c with b > 0 whenever |b| = a or a = c.  b is
+    odd, so j = ac - (b^2 + 3)/4, and as c runs up from a each (a, b) adds an
+    arithmetic progression of step a in j.  O(limit^{3/2}) work in about
+    limit/12 strided adds, one per (a, b).
     """
     counts = np.zeros((limit - 3) // 4 + 1, dtype=np.int32)
     a = 1
@@ -222,14 +225,9 @@ def _count_reduced_forms(limit: int) -> np.ndarray:
     return counts
 
 
-def _floor_offsets(primes: np.ndarray) -> np.ndarray:
-    """B_p = sum_{k <= (p-1)/2} floor(k^2/p) for each prime of the ascending
-    array primes (0 at p = 2).
-
-    With h = (p-1)/2, sum_k k^2 = h(h+1)p/6, so B_p = (h(h-2) + 3h(-p))/6 for
-    p ≡ 3 (mod 4), p > 3, and h(h-2)/6 for p ≡ 1 (mod 4).  At p = 3, where
-    S_3 = 1, the floor of (h(h-2) + 3h(-3))/6 = 2/6 is B_3 = 0 all the same.
-    """
+def _class_numbers(primes: np.ndarray) -> np.ndarray:
+    """h(-p) for each p ≡ 3 (mod 4) of the ascending array primes, and 0 for
+    every other prime, read from the module's table of reduced forms."""
     global _forms
     top = int(primes[-1])
     with _forms_lock:
@@ -239,8 +237,19 @@ def _floor_offsets(primes: np.ndarray) -> np.ndarray:
     three = primes % 4 == 3
     class_numbers = np.zeros_like(primes)
     class_numbers[three] = forms[primes[three] // 4]
+    return class_numbers
+
+
+def _floor_offsets(primes: np.ndarray) -> np.ndarray:
+    """B_p = sum_{k <= (p-1)/2} floor(k^2/p) for each prime of the ascending
+    array primes (0 at p = 2).
+
+    With h = (p-1)/2, sum_k k^2 = h(h+1)p/6, so B_p = (h(h-2) + 3h(-p))/6 for
+    p ≡ 3 (mod 4), p > 3, and h(h-2)/6 for p ≡ 1 (mod 4).  At p = 3, where
+    S_3 = 1, the floor of (h(h-2) + 3h(-3))/6 = 2/6 is B_3 = 0 all the same.
+    """
     h = (primes - 1) // 2
-    return (h * (h - 2) + 3 * class_numbers) // 6
+    return (h * (h - 2) + 3 * _class_numbers(primes)) // 6
 
 
 def _tally(alpha: Alpha, sums: np.ndarray, mod4: np.ndarray) -> DensityReport:
@@ -302,31 +311,6 @@ def density_scan(alpha: Alpha, num_primes: int, threads: int = 1) -> DensityRepo
     return density_sweep([alpha], [num_primes], threads=threads)[0][0]
 
 
-def class_number_h(p: int) -> int:
-    """Class number h(-p) for p ≡ 3 (mod 4), by counting reduced binary
-    quadratic forms (a, b, c) of discriminant b^2 - 4ac = -p.
-
-    Reduced means |b| <= a <= c with b > 0 whenever |b| = a or a = c.
-    Independent of any L-function machinery; O(p) work.
-    """
-    if p % 4 != 3 or not is_prime(p):
-        raise ValueError(f"class_number_h needs a prime p ≡ 3 (mod 4), got {p}")
-    count = 0
-    a = 1
-    while 3 * a * a <= p:
-        # -p ≡ b^2 (mod 4) forces b odd
-        for b in range(1, a + 1, 2):
-            num = b * b + p
-            if num % (4 * a) == 0:
-                c = num // (4 * a)
-                if c >= a:
-                    count += 1  # the b > 0 form
-                    if b != a and a != c:
-                        count += 1  # its distinct -b companion
-        a += 1
-    return count
-
-
 @dataclass(frozen=True)
 class DirichletCheck:
     """Both sides of the class-number identity for the half-length sum."""
@@ -341,20 +325,20 @@ class DirichletCheck:
         return self.excluded or self.lhs == self.rhs
 
 
-def dirichlet_check(p: int) -> DirichletCheck:
-    """Verify the half-length sum against the class-number formula.
+def dirichlet_checks(max_p: int) -> list[DirichletCheck]:
+    """Verify the half-length sum against the class-number formula at every
+    odd prime p <= max_p.
 
     For p ≡ 1 (mod 4) the sum is 0; for p ≡ 3 (mod 4) it equals
-    (2 - (2/p)) * h(-p).  p = 3 is excluded (the identity as written needs
-    p > 3: the two sides are 1 and 3 there) and flagged, not failed.
+    (2 - (2/p)) * h(-p).  The sums come from one residue count over all the
+    primes, which reads no class number; h(-p) from the table the one-alpha
+    scans read.  p = 3 is excluded (the identity as written needs p > 3: the
+    two sides are 1 and 3 there) and flagged, not failed.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"dirichlet_check needs an odd prime, got {p}")
-    lhs = legendre_sum(Fraction(1, 2), p)
-    if p == 3:
-        return DirichletCheck(p=3, lhs=lhs, rhs=3 * class_number_h(3), excluded=True)
-    if p % 4 == 1:
-        rhs = 0
-    else:
-        rhs = (2 - jacobi(2, p)) * class_number_h(p)
-    return DirichletCheck(p=p, lhs=lhs, rhs=rhs)
+    if max_p < 3:
+        raise ValueError(f"dirichlet_checks needs max_p >= 3, got {max_p}")
+    primes = primes_up_to(max_p)[1:]
+    sums = _scan_chunk(primes, alpha_cutoff(Fraction(1, 2), primes)[None, :])[0]
+    class_numbers = _class_numbers(primes)
+    return [DirichletCheck(p=p, lhs=lhs, rhs=(2 - jacobi(2, p)) * h, excluded=p == 3)
+            for p, lhs, h in zip(primes.tolist(), sums.tolist(), class_numbers.tolist())]

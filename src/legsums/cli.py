@@ -20,7 +20,6 @@ import numpy as np
 
 from . import charsum, fourier, randmodel, tails
 from .charsum import parse_alpha
-from .primes import primes_up_to
 
 
 class _OutError(Exception):
@@ -123,18 +122,10 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_dirichlet(args) -> int:
-    rows = []
-    failed = 0
-    for p in primes_up_to(args.max_p).tolist():
-        if p == 2:
-            continue
-        chk = charsum.dirichlet_check(p)
-        if not chk.ok:
-            failed += 1
-        rows.append(
-            {"p": chk.p, "lhs": chk.lhs, "rhs": chk.rhs,
-             "excluded": chk.excluded, "ok": chk.ok}
-        )
+    checks = charsum.dirichlet_checks(args.max_p)
+    failed = sum(not chk.ok for chk in checks)
+    rows = [{"p": chk.p, "lhs": chk.lhs, "rhs": chk.rhs,
+             "excluded": chk.excluded, "ok": chk.ok} for chk in checks]
     if not args.all:
         rows = [r for r in rows if not r["ok"] or r["excluded"]]
         rows.append({"p": "total", "lhs": "", "rhs": "",

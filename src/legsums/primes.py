@@ -54,9 +54,10 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes)
 
 
-# Lazily grown shared table, so "first N primes" scans don't re-sieve.
+# Shared table, empty at import: the first lookup sieves what it asks for,
+# and a lookup past the table sieves again, wider.
 _cache_lock = threading.Lock()
-_cached: PrimeTable = sieve_primes(1 << 16)
+_cached = PrimeTable(limit=1, primes=np.zeros(0, dtype=np.int64))
 
 
 def _grown_to(limit: int) -> PrimeTable:

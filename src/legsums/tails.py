@@ -200,16 +200,10 @@ def certify_neighborhood(alpha: float, constants: str = "printed") -> Certificat
     delta = abs(alpha - 1 / 3)
     d23 = delta ** (2 / 3)
     d_minus, d_plus = k_minus * d23, k_plus * d23
-    if delta == 0:
-        return CertificationReport(
-            alpha=alpha, delta=0.0, d_minus=0.0, d_plus=0.0,
-            u_minus=0.0, u_plus=0.0, p_neg_minus=0.0, p_neg_plus=0.0,
-            c_lower=1.0, certified=True, constants=constants, degenerate=True,
-        )
     opt_minus = optimize_u(SIGMA2, d_minus)
     opt_plus = optimize_u(SIGMA2, d_plus)
-    p_minus = min(negativity_bound(SIGMA2, d_minus, opt_minus.u), 1.0)
-    p_plus = min(negativity_bound(SIGMA2, d_plus, opt_plus.u), 1.0)
+    p_minus = min(opt_minus.value, 1.0)
+    p_plus = min(opt_plus.value, 1.0)
     c_lower = 1 - (p_minus + p_plus) / 2
     return CertificationReport(
         alpha=alpha,

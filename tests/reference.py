@@ -217,6 +217,32 @@ def log_euler_identity(signs: np.ndarray, P: int) -> tuple[float, float, float, 
 
 
 # --------------------------------------------------------------------------
+# class numbers one prime at a time, the oracle for charsum's sieved table
+
+def class_number_h(p: int) -> int:
+    """Class number h(-p) for p ≡ 3 (mod 4), by counting reduced binary
+    quadratic forms (a, b, c) of discriminant b^2 - 4ac = -p.
+
+    Reduced means |b| <= a <= c with b > 0 whenever |b| = a or a = c.
+    Independent of any L-function machinery; O(p) work.
+    """
+    count = 0
+    a = 1
+    while 3 * a * a <= p:
+        # -p ≡ b^2 (mod 4) forces b odd
+        for b in range(1, a + 1, 2):
+            num = b * b + p
+            if num % (4 * a) == 0:
+                c = num // (4 * a)
+                if c >= a:
+                    count += 1  # the b > 0 form
+                    if b != a and a != c:
+                        count += 1  # its distinct -b companion
+        a += 1
+    return count
+
+
+# --------------------------------------------------------------------------
 # the Dirichlet series of tau(n^2), zeta(s)^3 / zeta(2s), that checks the
 # constant of tails.zeta_ratio_check
 

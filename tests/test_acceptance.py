@@ -16,12 +16,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from legsums.charsum import class_number_h, density_scan, dirichlet_check, legendre_sum
+from legsums.charsum import density_scan, dirichlet_checks, legendre_sum
 from legsums.fourier import fourier_partial
 from legsums.primes import jacobi, primes_up_to
 from legsums import randmodel as rm
 from legsums import tails
-from reference import CHI_0_5, gauss_sum, log_euler_identity, prime_sign, x_of
+from reference import CHI_0_5, class_number_h, gauss_sum, log_euler_identity, prime_sign, x_of
 
 INV_2PI = 0.15915494309189535
 INV_E = 0.36787944117144233
@@ -72,11 +72,10 @@ def test_criterion_1_density_100000(alpha, expected):
 # 2. class-number identity
 
 def test_criterion_2_dirichlet_identity():
-    for p in primes_up_to(2000).tolist():
-        if p <= 3:
-            continue
-        chk = dirichlet_check(p)
-        assert chk.lhs == chk.rhs, p
+    checks = dirichlet_checks(2000)
+    assert [chk.p for chk in checks] == primes_up_to(2000).tolist()[1:]
+    for chk in checks[1:]:
+        assert chk.lhs == chk.rhs, chk.p
 
 
 # --------------------------------------------------------------------------

@@ -17,15 +17,15 @@ from hypothesis import strategies as st
 from legsums import charsum
 from legsums.charsum import (
     alpha_cutoff,
-    class_number_h,
     density_scan,
     density_sweep,
-    dirichlet_check,
+    dirichlet_checks,
     legendre_sum,
     parse_alpha,
 )
 from legsums.cli import main
 from legsums.primes import first_primes, jacobi, primes_up_to
+from reference import class_number_h
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -159,22 +159,28 @@ def test_class_number_known_values():
              71: 7, 79: 5, 163: 1, 227: 5, 239: 15}
     for p, h in known.items():
         assert class_number_h(p) == h, p
-
-
-def test_class_number_rejects_wrong_residue():
-    with pytest.raises(ValueError):
-        class_number_h(5)
+    # the sieved table, read the way the floor sum and dirichlet_checks read it
+    primes = sorted(known)
+    assert charsum._class_numbers(np.array(primes)).tolist() == [known[p] for p in primes]
 
 
 def test_dirichlet_check_p3_excluded():
-    chk = dirichlet_check(3)
+    (chk,) = dirichlet_checks(3)
+    assert chk.p == 3
     assert chk.excluded and chk.ok
     assert chk.lhs == 1 and chk.rhs == 3
+    assert not any(c.excluded for c in dirichlet_checks(200) if c.p != 3)
 
 
 def test_dirichlet_check_sample():
+    checks = {chk.p: chk for chk in dirichlet_checks(1999)}
+    assert list(checks) == primes_up_to(1999).tolist()[1:]
     for p in (5, 7, 11, 13, 23, 1999):
-        assert dirichlet_check(p).ok
+        assert checks[p].ok
+        assert checks[p].lhs == legendre_sum(Fraction(1, 2), p)
+    assert checks[5].rhs == 0
+    assert checks[11].rhs == 3 * 1  # (2/11) = -1, h(-11) = 1
+    assert checks[23].rhs == 1 * 3  # (2/23) = 1, h(-23) = 3
 
 
 def _mean_symbol(n, x, residue):
@@ -279,6 +285,8 @@ def test_density_sweep_rejects_bad_input():
         density_sweep([], [10])
     with pytest.raises(ValueError):
         density_sweep([1.5], [10])
+    with pytest.raises(ValueError):
+        dirichlet_checks(2)
 
 
 # --------------------------------------------------------------------------
@@ -313,9 +321,7 @@ def test_one_prime_paths_never_build_the_class_number_table(monkeypatch, capsys)
     monkeypatch.setattr(charsum, "_forms", np.zeros(0, dtype=np.int32))
     monkeypatch.setattr(charsum, "_count_reduced_forms", refuse)
     assert legendre_sum(Fraction(1, 3), 131071) == sum(jacobi(n, 131071) for n in range(1, 43691))
-    assert dirichlet_check(1999).ok
     assert main(["fourier-check", "--alpha", "2/5", "--p", "1999"]) == 0
-    assert main(["dirichlet", "--max-p", "200"]) == 0
     capsys.readouterr()
     # a one-alpha scan does reach the sieve this test refuses
     with pytest.raises(AssertionError, match="sieve ran"):
@@ -330,9 +336,32 @@ def test_class_number_table_is_sieved_once_per_growth(monkeypatch):
     monkeypatch.setattr(charsum, "_forms", np.zeros(0, dtype=np.int32))
     monkeypatch.setattr(charsum, "_count_reduced_forms",
                         lambda limit: sieved.append(limit) or sieve(limit))
+    # dirichlet_checks sieves up to its largest prime, and reads the same
+    # table as the scans do
+    assert dirichlet_checks(2000)[-1].p == 1999
+    assert sieved == [1999]
     for n in (1000, 10**4, 10**4, 1000, 10**4):
         density_scan(Fraction(2, 5), n)
-    assert sieved == [7919, 104729]
+    assert dirichlet_checks(2000)[-1].ok
+    assert sieved == [1999, 7919, 104729]
+
+
+def test_dirichlet_reads_the_class_number_table(monkeypatch, capsys):
+    # one wrong entry of the sieved table, at p = 199 ≡ 3 (mod 4), fails the
+    # command at that prime only
+    sieve = charsum._count_reduced_forms
+
+    def off_by_one(limit):
+        counts = sieve(limit)
+        counts[199 // 4] += 1
+        return counts
+
+    monkeypatch.setattr(charsum, "_forms", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(charsum, "_count_reduced_forms", off_by_one)
+    assert main(["dirichlet", "--max-p", "200"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["p,lhs,rhs,excluded,ok", "3,1,3,True,True",
+                                "199,9,10,False,False", "total,,,,False"]
 
 
 def test_class_number_table_grows_safely_under_threads(monkeypatch):

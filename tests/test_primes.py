@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,12 +16,32 @@ from legsums.primes import (
 )
 from reference import kronecker_chi
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 ODD_PRIMES = [p for p in primes_up_to(500).tolist() if p > 2]
 
 
 def test_sieve_small():
     table = sieve_primes(30)
     assert table.primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_no_sieve_runs_at_import():
+    # a profile hook records every call of the two sieves while the package
+    # and its command line are imported; both tables start empty
+    code = "\n".join([
+        "import sys",
+        "calls = []",
+        "def hook(frame, event, arg):",
+        "    if event == 'call' and frame.f_code.co_name in ('sieve_primes', '_count_reduced_forms'):",
+        "        calls.append(frame.f_code.co_name)",
+        "sys.setprofile(hook)",
+        "import legsums, legsums.cli",
+        "sys.setprofile(None)",
+        "print(calls, legsums.primes._cached.limit, len(legsums.charsum._forms))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
+    assert out == "[] 1 0\n"
 
 
 def test_sieve_rejects_tiny_limit():
