@@ -318,7 +318,7 @@ class DirichletCheck:
     p: int
     lhs: int
     rhs: int
-    excluded: bool = False
+    excluded: bool
 
     @property
     def ok(self) -> bool:
