@@ -130,6 +130,25 @@ def test_coefficients_are_periodic_with_exact_zeros(alpha, parity):
     assert np.count_nonzero(a[zero]) == 0 and np.count_nonzero(a[~zero]) == np.count_nonzero(~zero)
 
 
+@pytest.mark.parametrize("alpha", [
+    Fraction(7, 23), Fraction(1, 3000001), Fraction(2**40 + 1, 2**41 + 3), Fraction(0), Fraction(5, 12),
+])
+@pytest.mark.parametrize("parity", ["plus", "minus"])
+def test_coefficients_repeat_one_period(alpha, parity):
+    # one period is computed and tiled; q above N, at N and below it
+    b, q = alpha.numerator, alpha.denominator
+    spec = CoefficientSpec(parity, alpha)
+    full = spec.coefficients(100)
+    assert full.dtype == np.float64 and full.shape == (100,)
+    for N in (0, 1, 2, 5, 12, 22, 23, 24, 99):
+        assert spec.coefficients(N).tobytes() == full[:N].tobytes()
+    if parity == "plus":  # exactly 0 where n alpha is in Z/2
+        wave = [0.0 if 2 * b * n % q == 0 else math.sin(2 * math.pi * (b * n % q) / q) for n in range(1, 101)]
+    else:
+        wave = [1 - math.cos(2 * math.pi * (b * n % q) / q) for n in range(1, 101)]
+    assert np.max(np.abs(full - wave)) <= 1e-15
+
+
 @pytest.mark.parametrize("alpha,parity", SUPPORTED)
 def test_derived_row_matches_the_hand_row(alpha, parity):
     # 1/6 minus and 1/12, 5/12 minus differ in shape from the hand rows
@@ -413,6 +432,43 @@ def test_sample_series_matrix_memory_does_not_grow_with_samples(samples):
     assert peak < 32 * 2**20
 
 
+def _traced_peak(call):
+    """The tracemalloc peak of call(), in bytes above what was traced before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_layout_memory_follows_the_narrow_tables():
+    # int64 tables over 0..N, six alive at once, peaked at about 88 bytes per n
+    N = 2 * 10**5
+    primes_up_to(N)  # the prime table grows outside the trace
+    assert _traced_peak(lambda: rm._kernel_layout(N)) < 40 * N
+
+
+def test_coefficients_memory_is_the_output_and_one_period():
+    # the int64 residues and float64 angles of every n peaked at about 38 bytes per n
+    N = 2 * 10**5
+    assert _traced_peak(lambda: CoefficientSpec("plus", Fraction(1, 3)).coefficients(N)) < 20 * N
+
+
+def test_kernel_layout_dtypes():
+    layout = rm._kernel_layout(10**4)
+    for table in (layout.kernels, layout.large, layout.row_of, squarefree_core(10**4)):
+        assert table.dtype == np.int32
+    for index in (layout.spf_row, layout.rest_row, layout.m_rows) + layout.groups:
+        assert index.dtype == np.intp  # gathered on every batch
+
+
+def test_index_dtype_switches_at_2_31():
+    assert rm._index_dtype(0) is rm._index_dtype(2**31 - 1) is np.int32
+    assert rm._index_dtype(2**31) is rm._index_dtype(10**12) is np.int64
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 120, 121, 122, 600])
 def test_sample_series_matrix_matches_trial_division(N):
     # the split at sqrt(N): no prime above it (N = 1), no prime below it
@@ -618,6 +674,14 @@ def test_squarefree_core():
     core = squarefree_core(100)
     assert core[1] == 1 and core[4] == 1 and core[12] == 3
     assert core[72] == 2 and core[100] == 1 and core[60] == 15
+
+
+def test_block_convolution_keys_do_not_wrap():
+    # 46349 * 46351 = 2148322499 is past 2^31 - 1, so int32 keys would wrap
+    d = np.array([46349, 46351], dtype=np.int32)
+    keys, vals = rm._block_convolution(d, np.array([2.0, 3.0]), np.arange(2), np.arange(2), np.full(2, 2))
+    assert keys.tolist() == [1, 2148322499]
+    assert vals.tolist() == [4.0 + 9.0, 2 * 6.0]
 
 
 def test_moment_k1_square_indices_only():
