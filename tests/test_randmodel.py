@@ -456,6 +456,21 @@ def test_coefficients_memory_is_the_output_and_one_period():
     assert _traced_peak(lambda: CoefficientSpec("plus", Fraction(1, 3)).coefficients(N)) < 20 * N
 
 
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_fold_adds_in_the_order_of_one_bincount(monkeypatch, chunk):
+    # the printed series values depend on the order of each kernel's sum
+    monkeypatch.setattr(rm, "_FOLD_CHUNK", chunk)
+    N = 3000
+    layout = rm._kernel_layout(N)
+    cols = np.column_stack([CoefficientSpec(p, Fraction(1, 3)).coefficients(N) for p in ("plus", "minus")])
+    weights = rm._fold(cols, layout)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    for c in range(2):
+        whole = np.bincount(layout.row_of[1:], weights=cols[:, c] / n, minlength=len(layout.kernels))
+        assert weights[:-1, c].tobytes() == whole.tobytes()
+    assert not weights[-1].any()  # the row that row -1 of a group reads
+
+
 def test_kernel_layout_dtypes():
     layout = rm._kernel_layout(10**4)
     for table in (layout.kernels, layout.large, layout.row_of, squarefree_core(10**4)):
@@ -870,13 +885,7 @@ def test_moment_bundle_memory_below_k_squared():
 
 def _moment_bundle_peak(alpha, parity, N):
     c = CoefficientSpec(parity, alpha).coefficients(N)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        rm.moment_bundle(c)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    return _traced_peak(lambda: rm.moment_bundle(c))
 
 
 def test_moment_bundle_memory_at_the_moments_defaults():
