@@ -10,7 +10,6 @@ import argparse
 from fractions import Fraction
 
 from legsums.charsum import density_sweep
-from legsums.cli import _int_at_least
 
 ALPHAS = [
     ("2/5", Fraction(2, 5)),
@@ -25,13 +24,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true",
                         help="include the 100000-prime row (slow)")
-    parser.add_argument("--threads", type=_int_at_least(1), default=4)
     args = parser.parse_args()
 
     sizes = [1000, 10000] + ([100000] if args.full else [])
     print(f"{'alpha':>8} {'primes':>7} {'nonneg':>7} {'strict':>7} "
           f"{'1mod4':>6} {'3mod4':>6}")
-    table = density_sweep([alpha for _, alpha in ALPHAS], sizes, threads=args.threads)
+    table = density_sweep([alpha for _, alpha in ALPHAS], sizes)
     for (label, _), row in zip(ALPHAS, table):
         for n, r in zip(sizes, row):
             print(f"{label:>8} {n:>7} {r.nonneg_count:>7} "

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Every subcommand is deterministic given its flags (seed defaults to 0), and
-output bodies are independent of the thread count.  Exit codes: 0 success,
-1 a verification-style check failed, 2 usage error (argparse default).
+output bodies do not depend on how many cores or threads run them.  Exit
+codes: 0 success, 1 a verification-style check failed, 2 usage error
+(argparse default).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -65,9 +65,6 @@ def _int_at_least(low: int):
     return parse
 
 
-_thread_count = _int_at_least(1)
-
-
 def _parsed(parse):
     """An argparse type for --alpha: parse(text), with a parse error (such
     as '1/0' or 'abc') made a usage error (exit 2)."""
@@ -95,14 +92,7 @@ def _alpha(text: str):
 # subcommands
 
 def _cmd_density(args) -> int:
-    threads = args.threads
-    if threads is None:
-        try:
-            threads = _thread_count(os.environ.get("LEGSUMS_THREADS", "1"))
-        except argparse.ArgumentTypeError as exc:
-            print(f"legsums: error: LEGSUMS_THREADS: {exc}", file=sys.stderr)
-            return 2
-    report = charsum.density_scan(args.alpha, args.primes, threads=threads)
+    report = charsum.density_scan(args.alpha, args.primes)
     row = {
         "alpha": str(report.alpha),
         "primes": report.prime_count,
@@ -136,18 +126,17 @@ def _cmd_dirichlet(args) -> int:
 
 def _cmd_fourier_check(args) -> int:
     alpha = args.alpha
-    rows = []
-    for M in args.truncation:
-        try:
-            exact = charsum.legendre_sum(alpha, args.p)
-            approx = fourier.fourier_partial(alpha, args.p, M)
-        except ValueError as exc:  # p not an odd prime, alpha out of range or alpha*p integral
-            print(f"legsums: error: {exc}", file=sys.stderr)
-            return 2
-        rows.append(
-            {"alpha": str(alpha), "p": args.p, "M": M, "exact": exact,
-             "truncated": approx, "abs_error": abs(approx - exact)}
-        )
+    try:
+        exact = charsum.legendre_sum(alpha, args.p)
+        approx = [fourier.fourier_partial(alpha, args.p, M) for M in args.truncation]
+    except ValueError as exc:  # p not an odd prime, alpha out of range or alpha*p integral
+        print(f"legsums: error: {exc}", file=sys.stderr)
+        return 2
+    rows = [
+        {"alpha": str(alpha), "p": args.p, "M": M, "exact": exact,
+         "truncated": t, "abs_error": abs(t - exact)}
+        for M, t in zip(args.truncation, approx)
+    ]
     _emit(_rows_to_text(rows, args.format), args.out)
     return 0
 
@@ -163,11 +152,7 @@ def _cmd_simulate(args) -> int:
         ])
         values = randmodel.sample_series_matrix(cols, args.truncation, args.samples, args.seed)
     else:
-        try:
-            decomps = [randmodel.decompose_rational(alpha, parity) for parity in parities]
-        except randmodel.UnsupportedAlphaError as exc:
-            print(f"legsums: error: {exc}", file=sys.stderr)
-            return 2
+        decomps = [randmodel.decompose_rational(alpha, parity) for parity in parities]
         values = np.column_stack([
             randmodel.euler_values_matrix(decomp, args.samples, args.seed, args.prime_cutoff)
             for decomp in decomps
@@ -195,11 +180,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    try:
-        decomp = randmodel.decompose_rational(args.alpha, args.parity)
-    except randmodel.UnsupportedAlphaError as exc:
-        print(f"legsums: error: {exc}", file=sys.stderr)
-        return 2
+    decomp = randmodel.decompose_rational(args.alpha, args.parity)
 
     def real(x: float) -> str:
         # repr reads back as the same float; an integral value drops its ".0"
@@ -316,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--primes", type=_int_at_least(1), required=True)
     p.add_argument("--mode", choices=("ge", "gt"), default="ge")
-    p.add_argument("--threads", type=_thread_count, default=None,
-                   help="worker threads (default: $LEGSUMS_THREADS, else 1)")
     p.add_argument("--verify", type=int, default=None,
                    help="exit 1 unless the selected count equals this value")
     common(p)
@@ -383,7 +362,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _OutError as exc:
+    except (_OutError, randmodel.UnsupportedAlphaError) as exc:  # usage errors
         print(f"legsums: error: {exc}", file=sys.stderr)
         return 2
 

@@ -118,33 +118,66 @@ def test_density_scan_thread_invariance():
     assert a == b
 
 
-@pytest.mark.parametrize("threads", [3, 100_000])
-def test_sweep_workers_capped_at_usable_cores(monkeypatch, threads):
-    # a stand-in executor records its size and maps serially: no thread starts
+class SerialPool:
+    """A stand-in executor: records its size and spans and maps serially, so
+    no thread starts."""
+
     pools = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            pools.append(self)
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.pools.append(self)
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def map(self, fn, spans):
-            self.spans = list(spans)
-            return map(fn, self.spans)
+    def map(self, fn, spans):
+        self.spans = list(spans)
+        return map(fn, self.spans)
 
+
+@pytest.mark.parametrize("threads", [3, 100_000])
+def test_sweep_workers_capped_at_usable_cores(monkeypatch, threads):
+    # 12300 primes run past 131071, the 12251st prime: only the 49 above it
+    # reach the pool, in four spans per worker
+    monkeypatch.setattr(SerialPool, "pools", [])
     monkeypatch.setattr(charsum, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(charsum.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    reports = density_sweep([Fraction(2, 5), Fraction(1, 3)], [50, 300], threads=threads)
-    assert reports == density_sweep([Fraction(2, 5), Fraction(1, 3)], [50, 300], threads=1)
-    (pool,) = pools
+    alphas = [Fraction(2, 5), Fraction(1, 3)]
+    reports = density_sweep(alphas, [50, 12300], threads=threads)
+    (pool,) = SerialPool.pools
     assert pool.max_workers == min(threads, 4)
-    assert len(pool.spans) == min(4 * threads, 300)
+    assert len(pool.spans) == 4 * min(threads, 4)
+    assert pool.spans[0][0] == 12251 and pool.spans[-1][1] == 12300
+    assert all(b == c for (_, b), (c, _) in zip(pool.spans, pool.spans[1:]))
+    assert first_primes(12251)[-1] == charsum._LAST_UINT32_PRIME == 131071
+    monkeypatch.setattr(charsum.os, "sched_getaffinity", lambda pid: {0})
+    assert reports == density_sweep(alphas, [50, 12300], threads=threads)
+    assert len(SerialPool.pools) == 1
+
+
+@pytest.mark.parametrize("alphas", [[Fraction(2, 5)], [Fraction(2, 5), Fraction(3, 8)]])
+def test_scan_below_the_switch_builds_no_pool(monkeypatch, alphas):
+    def no_pool(max_workers):
+        raise AssertionError("a scan up to 131071 started a pool")
+
+    monkeypatch.setattr(charsum, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(charsum.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    density_sweep(alphas, [100, 12251], threads=4)
+    density_sweep(alphas, [12251])
+
+
+def test_dirichlet_checks_do_not_depend_on_usable_cores(monkeypatch):
+    # 140000 lies past 131071: four cores count the primes above it in a pool
+    checks = []
+    for cores in (1, 4):
+        monkeypatch.setattr(charsum.os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        checks.append(dirichlet_checks(140000))
+    assert checks[0] == checks[1]
+    assert all(c.ok for c in checks[0])
 
 
 def test_density_scan_mod4_split_consistent():
@@ -268,10 +301,11 @@ def test_density_counters_match_per_prime_sums():
 
 
 def test_sweep_thread_invariance_across_dtype_switch():
-    # 12300 primes run past 131071 (the 12251st prime): with four threads
-    # the early chunks reduce uint32 tables and the last a uint64 one, while
-    # one thread reduces everything from a single uint64 table; two alphas
-    # count from the residues, one from the floor sum
+    # 12300 primes run past 131071 (the 12251st prime): the primes up to it
+    # are reduced from a uint32 table on the calling thread, and those above
+    # from uint64 tables: in one span at threads=1, in a pool of spans at
+    # threads=4 on more than one core; two alphas count from the residues,
+    # one from the floor sum
     for alphas in ([Fraction(2, 5), 0.15915494309189535], [Fraction(2, 5)]):
         one = density_sweep(alphas, [12300], threads=1)
         four = density_sweep(alphas, [12300], threads=4)

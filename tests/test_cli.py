@@ -47,12 +47,14 @@ def test_density_json_csv_key_match(capsys):
     assert header == list(json.loads(json_out))
 
 
-def test_density_thread_invariance(capsys):
-    _, a = run(capsys, "density", "--alpha", "3/8", "--primes", "300",
-               "--threads", "1")
-    _, b = run(capsys, "density", "--alpha", "3/8", "--primes", "300",
-               "--threads", "4")
-    assert a == b
+def test_density_thread_invariance(monkeypatch, capsys):
+    # 12300 primes run past 131071: on four usable cores the primes above it
+    # are counted in a pool of four threads, on one core on the calling thread
+    outs = []
+    for cores in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        outs.append(run(capsys, "density", "--alpha", "3/8", "--primes", "12300"))
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def test_density_output_bytes_and_verify(capsys):
@@ -183,22 +185,13 @@ def test_moments_direct_matches_moment_direct(capsys):
         assert row["direct"] == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
-def test_bad_threads_env_exits_2(monkeypatch, capsys, value):
-    monkeypatch.setenv("LEGSUMS_THREADS", value)
-    code = main(["density", "--alpha", "1/3", "--primes", "10"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
-    assert "LEGSUMS_THREADS" in captured.err
-
-
 def test_bad_threads_flag_exits_2(capsys):
+    # a scan picks its own threads: density has no --threads option
     with pytest.raises(SystemExit) as exc:
-        main(["density", "--alpha", "1/3", "--primes", "10", "--threads", "0"])
+        main(["density", "--alpha", "1/3", "--primes", "10", "--threads", "2"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --threads 2" in captured.err
 
 
 def test_simulate_unsupported_alpha_exits_2(capsys):

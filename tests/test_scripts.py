@@ -56,7 +56,6 @@ def test_certification_constants_small_cutoff_fails_cleanly():
     ("positivity_estimates.py", "--samples", "0"),
     ("positivity_estimates.py", "--prime-cutoff", "0"),
     ("certification_constants.py", "--prime-cutoff", "50"),
-    ("density_table.py", "--threads", "0"),
 ])
 def test_script_bad_argument_is_a_usage_error(name, flag, bad):
     proc = run_script(name, flag, bad, code=2)
