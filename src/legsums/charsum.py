@@ -281,8 +281,10 @@ def _scan_spans(primes: np.ndarray, chunk, *columns, threads: int | None = None)
         if workers <= 1:
             parts.append(scan(split, n))
         else:
-            # work grows with p: many small spans keep the workers evenly loaded
-            bounds = np.linspace(split, n, 4 * workers + 1).astype(int).tolist()
+            # a prime costs O(p): spans of equal sums of p keep the workers even
+            work = np.cumsum(primes[split:])
+            cuts = split + np.searchsorted(work, np.linspace(0, work[-1], 4 * workers + 1)[1:-1])
+            bounds = [split, *cuts.tolist(), n]
             spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 parts += pool.map(lambda span: scan(*span), spans)
@@ -298,11 +300,11 @@ def density_sweep(alphas, sizes, threads: int | None = None) -> list[list[Densit
     per-prime sums.  Returns reports[i][j] for alphas[i], sizes[j].  The
     counts are integer-exact and independent of the thread count.
 
-    The first 12251 primes (up to 131071) are counted on the calling thread
-    and those above in at most threads workers, one per usable core by
-    default (_scan_spans): on 2 cores, five alphas over 10^4 primes took
-    0.63 s so, 0.66 s on one thread and 1.39 s on four; over 3*10^4 primes
-    7.5 s, against 12.6 s and 8.3 s (medians of 3 fresh processes).
+    The first 12251 primes (up to 131071) are counted on the calling thread,
+    those above in at most threads workers, one per usable core by default
+    (_scan_spans).  On 2 cores five alphas over 10^4 and 3*10^4 primes took
+    0.63 and 7.5 s so; as one span on one thread 0.66 and 12.6 s, and split
+    into 16 spans at threads=4 1.39 and 8.3 s (medians of 3 processes).
     """
     alphas, sizes = list(alphas), list(sizes)
     for alpha in alphas:

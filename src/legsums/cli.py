@@ -1,9 +1,8 @@
 """Command-line entry point.
 
 Every subcommand is deterministic given its flags (seed defaults to 0), and
-output bodies do not depend on how many cores or threads run them.  Exit
-codes: 0 success, 1 a verification-style check failed, 2 usage error
-(argparse default).
+output bodies are independent of the thread count.  Exit codes: 0 success,
+1 a verification-style check failed, 2 usage error (argparse default).
 """
 
 from __future__ import annotations
