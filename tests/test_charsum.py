@@ -159,6 +159,21 @@ def test_sweep_workers_capped_at_usable_cores(monkeypatch, threads):
     assert len(SerialPool.pools) == 1
 
 
+def test_pool_spans_carry_equal_work(monkeypatch):
+    # a prime's count costs O(p): the spans above 131071 are cut at equal
+    # sums of p, so that no worker is left with the largest primes alone
+    monkeypatch.setattr(SerialPool, "pools", [])
+    monkeypatch.setattr(charsum, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(charsum.os, "sched_getaffinity", lambda pid: {0, 1})
+    primes = first_primes(100_000)
+    index = np.arange(len(primes))
+    assert (charsum._scan_spans(primes, lambda p, i: i, index) == index).all()
+    (pool,) = SerialPool.pools
+    work = [int(primes[a:b].sum()) for a, b in pool.spans]
+    assert pool.max_workers == 2 and len(work) == 8
+    assert max(work) - min(work) < 2 * int(primes[-1])
+
+
 @pytest.mark.parametrize("alphas", [[Fraction(2, 5)], [Fraction(2, 5), Fraction(3, 8)]])
 def test_scan_below_the_switch_builds_no_pool(monkeypatch, alphas):
     def no_pool(max_workers):
