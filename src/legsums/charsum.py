@@ -350,7 +350,7 @@ def dirichlet_checks(max_p: int) -> list[DirichletCheck]:
     For p ≡ 1 (mod 4) the sum is 0; for p ≡ 3 (mod 4) it equals
     (2 - (2/p)) * h(-p).  The sums come from a residue count, which reads no
     class number, split over threads as in density_sweep: at max_p = 300000
-    that took 3.1 s on 2 cores, against 5.1 s as one serial count.  h(-p)
+    it took 3.1 s on 2 cores, against 5.0 s as one serial count.  h(-p)
     comes from the table the one-alpha scans read.  p = 3 is excluded (the
     identity as written needs p > 3: the two sides are 1 and 3 there) and
     flagged, not failed.
