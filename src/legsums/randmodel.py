@@ -195,7 +195,7 @@ _DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 12)
 SUPPORTED_ALPHAS = sorted({Fraction(b, q) for q in _DENOMINATORS for b in range(q // 2 + 1)})
 
 
-def decompose_rational(alpha: Fraction | str, parity: str) -> RationalDecomposition:
+def decompose_rational(alpha: Fraction | float | str, parity: str) -> RationalDecomposition:
     """Expand a_n^{±}(alpha) into dilated periodic multiplicative terms.
 
     For alpha = b/q and each divisor g of q, with m = q/g, the n with
@@ -208,13 +208,21 @@ def decompose_rational(alpha: Fraction | str, parity: str) -> RationalDecomposit
     terms c_chi chi(n/g) over g and chi, zero coefficients dropped.  The
     terms of one dilation are distinct characters mod m, so no two terms
     share a character and a dilation.
+
+    A float alpha is the binary rational it stores: 0.2 is not 1/5.
     """
-    alpha = Fraction(alpha)
-    if alpha not in SUPPORTED_ALPHAS or parity not in ("plus", "minus"):
+    exact = Fraction(alpha)
+    if exact not in SUPPORTED_ALPHAS or parity not in ("plus", "minus"):
+        # a float is named as it prints, which is as it was typed
+        spelled = Fraction(str(alpha)) if isinstance(alpha, float) else exact
+        hint = ""
+        if spelled != exact and spelled in SUPPORTED_ALPHAS:
+            hint = f" (a float, not {spelled}: write {spelled} for the fraction)"
         raise UnsupportedAlphaError(
-            f"no decomposition for alpha={alpha}, parity={parity}; supported "
+            f"no decomposition for alpha={alpha}{hint}, parity={parity}; supported "
             f"alphas: {', '.join(str(a) for a in SUPPORTED_ALPHAS)}"
         )
+    alpha = exact
     b, q = alpha.numerator, alpha.denominator
     f = math.sin if parity == "plus" else (lambda t: 1 - math.cos(t))
     terms = []
@@ -238,6 +246,10 @@ def decompose_rational(alpha: Fraction | str, parity: str) -> RationalDecomposit
 #: signs in the series sums (_PRODUCT_ROWS × _SERIES_BATCH, whatever N)
 _PRODUCT_ROWS = 1024
 
+#: every dilation of a decomposition divides its denominator, so X_d reads
+#: the signs of the primes up to this alone
+_DILATION_LIMIT = max(_DENOMINATORS)
+
 
 def euler_values_matrix(
     decomp: RationalDecomposition,
@@ -249,60 +261,121 @@ def euler_values_matrix(
     prime cutoff, for seeds seed0 .. seed0+samples-1.  Sign identities that
     hold for the infinite object hold here exactly (up to roundoff) at every
     cutoff."""
-    limit = _sign_limit(decomp, prime_cutoff)
-    signs = _shared_signs(int(seed0), int(samples), limit)
-    return _euler_sum(decomp.terms, signs, primes_up_to(limit), prime_cutoff).real
-
-
-def _sign_limit(decomp: RationalDecomposition, prime_cutoff: int) -> int:
-    """The sign columns reach the primes of every dilation too."""
-    return max([prime_cutoff] + [t.dilation for t in decomp.terms])
+    memo = _euler_memo(int(seed0), int(samples), int(prime_cutoff))
+    products = {t.chi: memo.product(t.chi) for t in decomp.terms}
+    return _euler_sum(decomp.terms, memo.signs, memo.small, prime_cutoff, products).real
 
 
 @functools.lru_cache(maxsize=1)
-def _shared_signs(seed0: int, samples: int, limit: int) -> np.ndarray:
-    """The sign block of seeds seed0 .. seed0+samples-1 on the primes up to
-    limit, hashed once for all the (alpha, parity) pairs of a run.  Every
-    caller gets the same array, so it is read-only."""
-    signs = prime_sign_matrix(np.arange(seed0, seed0 + samples), primes_up_to(limit))
-    signs.flags.writeable = False
-    return signs
+def _euler_memo(seed0: int, samples: int, prime_cutoff: int) -> _EulerMemo:
+    """The memo of seeds seed0 .. seed0+samples-1 at the prime cutoff, made
+    once for all the (alpha, parity) pairs of a run."""
+    return _EulerMemo(seed0, samples, prime_cutoff)
+
+
+class _EulerMemo:
+    """Each character's Euler product over seeds seed0 .. seed0+samples-1 at
+    one prime cutoff, and the sign columns of the primes up to
+    _DILATION_LIMIT (small), which X_d reads.
+
+    One pass over the seeds, _PRODUCT_ROWS at a time, fills the products of
+    the characters mod every supported denominator, in one fixed order; no
+    samples × primes sign block outlives its rows.  Another character (a
+    hand-built table) gets a pass of its own the first time it is asked
+    for.  So a character's product never depends on which were asked for
+    before it.  Every caller reads the same arrays, so they are read-only.
+    """
+
+    def __init__(self, seed0: int, samples: int, prime_cutoff: int):
+        self.seed0, self.samples, self.prime_cutoff = seed0, samples, prime_cutoff
+        self.primes = primes_up_to(max(prime_cutoff, _DILATION_LIMIT))
+        self.small = self.primes[self.primes <= _DILATION_LIMIT]
+        self.signs = np.empty((samples, len(self.small)), dtype=np.int8)
+
+        def rows(start: int, stop: int) -> np.ndarray:
+            signs = self._hash(start, stop)
+            self.signs[start:stop] = signs[:, : len(self.small)]
+            return signs
+
+        chis = tuple(dict.fromkeys(chi for m in _DENOMINATORS for chi in _characters(m)))
+        self.products = dict(zip(chis, self._products(chis, rows)))
+        self.signs.flags.writeable = False
+
+    def _hash(self, start: int, stop: int) -> np.ndarray:
+        return prime_sign_matrix(np.arange(self.seed0 + start, self.seed0 + stop), self.primes)
+
+    def _products(self, chis: tuple[CharTable, ...], rows) -> list[np.ndarray]:
+        products = _euler_products(chis, self.primes, self.prime_cutoff, self.samples, rows)
+        for product in products:
+            product.flags.writeable = False
+        return products
+
+    def product(self, chi: CharTable) -> np.ndarray:
+        if chi not in self.products:
+            (self.products[chi],) = self._products((chi,), self._hash)
+        return self.products[chi]
 
 
 def _euler_sum(
-    terms: tuple[Term, ...], signs: np.ndarray, primes: np.ndarray, prime_cutoff: int
+    terms: tuple[Term, ...],
+    signs: np.ndarray,
+    primes: np.ndarray,
+    prime_cutoff: int,
+    products: dict | None = None,
 ) -> np.ndarray:
     """sum of coeff * X_d / d * prod_{p <= P} (1 - chi(p) X_p / p)^{-1} over
-    the terms (complex), per row of an int8 sign block on the given primes.
+    the terms (complex), per row of int8 sign columns on the given primes,
+    X_d read from those columns.  The products are given by character (the
+    memo's), or else computed over these rows by _euler_products (a pinned
+    or twisted sample, whose columns hold every prime up to P).  Terms with
+    the same character share its product, so they cancel exactly."""
+    if products is None:
+        chis = tuple(dict.fromkeys(t.chi for t in terms))
+        computed = _euler_products(chis, primes, prime_cutoff, len(signs), lambda a, b: signs[a:b])
+        products = dict(zip(chis, computed))
+    total = np.zeros(len(signs), dtype=complex)
+    for t in terms:
+        core = int(squarefree_core(t.dilation)[t.dilation])  # X_d = X_core(d)
+        odd_primes = np.flatnonzero(core % primes == 0)
+        if np.prod(primes[odd_primes]) != core:
+            raise ValueError(f"dilation {t.dilation} has a prime factor outside the sign columns")
+        x_d = np.prod(signs[:, odd_primes], axis=1, dtype=float)
+        total += t.coeff / t.dilation * x_d * products[t.chi]
+    return total
+
+
+def _euler_products(
+    chis: tuple[CharTable, ...], primes: np.ndarray, prime_cutoff: int, samples: int, rows
+) -> list[np.ndarray]:
+    """prod_{p <= P} (1 - chi(p) X_p / p)^{-1} per sample for each
+    character: float64 for one real on the primes, complex for the others.
+    rows(start, stop) gives the int8 sign rows start .. stop-1 on the given
+    primes, asked for _PRODUCT_ROWS rows at a time, so one block's float64
+    copy is made at a time.
 
     As X_p = ±1, -log(1 - c X_p / p) = e_p + X_p o_p with e_p and o_p its
     even and odd parts in X_p, so each character's log-product is
-    sum_p e_p + signs @ o: one real matmul for all the distinct characters,
-    complex ones with an imaginary column as well, then one exp.  Terms
-    with the same character share its product, so they cancel exactly.
+    sum_p e_p + signs @ o: one real matmul per block for all the characters,
+    complex ones with an imaginary column as well, then exp.
     """
-    total = np.zeros(len(signs), dtype=complex)
-    if not terms:
-        return total
-    chis = tuple(dict.fromkeys(t.chi for t in terms))
-    c = np.array([chi.on(primes) for chi in chis], dtype=complex)
+    c = np.array([chi.on(primes) for chi in chis], dtype=complex).reshape(len(chis), len(primes))
     c *= (primes <= prime_cutoff) / primes
     up, down = -np.log1p(-c), -np.log1p(c)  # at X_p = +1 and at X_p = -1
-    even, odd = (up + down) / 2, (up - down) / 2
-    imag = [j for j in range(len(chis)) if odd[j].imag.any()]
+    even_sums, odd = ((up + down) / 2).sum(axis=1), (up - down) / 2
+    imag = [j for j in range(len(chis)) if c[j].imag.any()]
     columns = np.concatenate([odd.real, odd[imag].imag]).T
-    logs = np.empty((len(signs), columns.shape[1]))
-    for r in range(0, len(signs), _PRODUCT_ROWS):  # a float64 copy of one block at a time
-        logs[r : r + _PRODUCT_ROWS] = signs[r : r + _PRODUCT_ROWS] @ columns
-    log_prod = even.sum(axis=1) + logs[:, : len(chis)]
-    log_prod[:, imag] += 1j * logs[:, len(chis) :]
-    product = dict(zip(chis, np.exp(log_prod).T))
-    for t in terms:
-        core = int(squarefree_core(t.dilation)[t.dilation])  # X_d = X_core(d)
-        odd_primes = np.flatnonzero(core % primes[primes <= core] == 0)
-        x_d = np.prod(signs[:, odd_primes], axis=1, dtype=float)
-        total += t.coeff / t.dilation * x_d * product[t.chi]
-    return total
+    del c, up, down, odd  # characters × primes each, as complex
+    logs = np.empty((samples, columns.shape[1]))
+    for r in range(0, samples, _PRODUCT_ROWS):
+        stop = min(r + _PRODUCT_ROWS, samples)
+        logs[r:stop] = rows(r, stop) @ columns
+    products = []
+    for j in range(len(chis)):
+        log = even_sums[j].real + logs[:, j]
+        if j in imag:
+            log = log + 1j * (even_sums[j].imag + logs[:, len(chis) + imag.index(j)])
+        products.append(np.exp(log))
+    return products
 
 
 # --------------------------------------------------------------------------

@@ -292,6 +292,27 @@ def test_decompose_unsupported(capsys):
     assert "1/7" in lines[0] and "supported alphas: 0, 1/12" in lines[0]
 
 
+def test_simulate_names_a_float_alpha_as_typed(capsys):
+    # simulate keeps a decimal's binary float, which is not 1/5; the error
+    # names it as typed and says how to ask for the fraction
+    code = main(["simulate", "--alpha", "0.2", "--samples", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("legsums: error: no decomposition for alpha=0.2 ")
+    assert "write 1/5 for the fraction" in lines[0]
+    assert "3602879701896397" not in lines[0]
+    # a decimal no supported fraction spells gets no such hint
+    assert main(["simulate", "--alpha", "0.3", "--samples", "10"]) == 2
+    assert "alpha=0.3, parity=plus" in capsys.readouterr().err
+    # a float that stores a supported fraction exactly is that fraction
+    _, half = run(capsys, "simulate", "--alpha", "0.5", "--samples", "10")
+    _, fraction = run(capsys, "simulate", "--alpha", "1/2", "--samples", "10")
+    assert half.replace("\n0.5,", "\n1/2,") == fraction
+
+
 def test_decompose_reads_decimals_exactly(capsys):
     # 0.2 is read as the fraction it spells, not as the binary float near it
     _, decimal = run(capsys, "decompose", "--alpha", "0.2", "--parity", "plus")
@@ -346,10 +367,13 @@ def test_moments_every_order_has_a_z(capsys):
 @pytest.mark.parametrize("argv", [
     ["moments", "--alpha", "1/3", "--parity", "minus", "--samples", "2000"],
     ["simulate", "--alpha", "1/12", "--samples", "2500", "--prime-cutoff", "10000"],
+    # 1/5 plus reads the complex columns of the Euler products
+    ["simulate", "--alpha", "1/5", "--evaluator", "euler", "--samples", "2500",
+     "--prime-cutoff", "10000"],
     ["fourier-check", "--alpha", "2/5", "--p", "101"],
     ["moments", "--alpha", "1/3", "--parity", "minus", "--k", "5", "6", "--truncation", "3000",
      "--samples", "2000"],
-], ids=["moments", "simulate", "fourier-check", "moments-k5-k6"])
+], ids=["moments", "simulate", "simulate-fifth", "fourier-check", "moments-k5-k6"])
 def test_output_does_not_depend_on_blas_threads(argv):
     # OpenBLAS splits long dot products and matrix products across its
     # threads, which can change the last bits of a sum

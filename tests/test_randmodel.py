@@ -360,8 +360,8 @@ def test_euler_eval_below_the_dilation_primes():
     assert len(set(zip(x2.tolist(), x3.tolist()))) == 4
 
 
-def test_shared_sign_block_is_keyed_and_read_only():
-    rm._shared_signs.cache_clear()
+def test_euler_memo_is_keyed_and_read_only():
+    rm._euler_memo.cache_clear()
     d = decompose_rational(Fraction(1, 5), "plus")
     calls = [(0, 50, 100), (0, 50, 100), (7, 50, 100), (0, 60, 100), (0, 50, 200), (0, 50, 100)]
     for seed0, samples, cutoff in calls:
@@ -371,12 +371,44 @@ def test_shared_sign_block_is_keyed_and_read_only():
         np.testing.assert_allclose(
             vals, _per_factor_euler(d, signs.astype(np.float64), primes), rtol=0, atol=1e-12
         )
-    info = rm._shared_signs.cache_info()
+    info = rm._euler_memo.cache_info()
     assert (info.hits, info.misses) == (1, 5)
-    block = rm._shared_signs(0, 50, 100)
-    assert not block.flags.writeable
-    with pytest.raises(ValueError):
-        block[0, 0] = 1
+    memo = rm._euler_memo(0, 50, 100)
+    arrays = [memo.signs, *memo.products.values()]
+    assert len(arrays) == 16  # the sign columns and the 15 supported characters
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_euler_values_do_not_depend_on_call_order():
+    # the supported characters are filled together, whichever pair asks
+    # first; a hand-built character outside them gets a pass of its own
+    def run(pairs, cold=False):
+        out = {}
+        for pair in pairs:
+            if cold:
+                rm._euler_memo.cache_clear()
+            out[pair] = rm.euler_values_matrix(decompose_rational(*pair), 2000, seed0=5).tobytes()
+        return out
+
+    rm._euler_memo.cache_clear()
+    forward = run(SUPPORTED)
+    assert run(SUPPORTED[::-1]) == forward
+    assert run(SUPPORTED, cold=True) == forward
+    hand = hand_decomposition(Fraction(1, 12), "plus")  # chi4*chi_0_3 and three more
+    assert not any(t.chi in rm._euler_memo(5, 2000, 1000).products for t in hand.terms)
+    warm = rm.euler_values_matrix(hand, 2000, seed0=5)
+    rm._euler_memo.cache_clear()
+    assert rm.euler_values_matrix(hand, 2000, seed0=5).tobytes() == warm.tobytes()
+
+
+def test_dilation_outside_the_sign_columns_raises():
+    primes = primes_up_to(3)
+    signs = rm.prime_sign_matrix(np.arange(4), primes)
+    with pytest.raises(ValueError, match="dilation 5"):
+        rm._euler_sum((rm.Term(1, reference.CHI_0_2, 5),), signs, primes, 3)
 
 
 @pytest.mark.parametrize("alpha,strict", [(Fraction(1, 12), 0.7511), (Fraction(5, 12), 0.4232)])
@@ -507,21 +539,28 @@ def test_euler_values_matrix_memory_grows_by_the_int8_block_only():
     P = 10**4
     primes = primes_up_to(P)
 
-    def peak(samples):
-        rm._shared_signs.cache_clear()
+    def traced(samples):
+        """the call's peak and what stays after it, above the memory before"""
+        rm._euler_memo.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             rm.euler_values_matrix(d, samples, seed0=0, prime_cutoff=P)
-            return tracemalloc.get_traced_memory()[1] - base
+            kept, peak = tracemalloc.get_traced_memory()
+            return peak - base, kept - base
         finally:
             tracemalloc.stop()
 
-    # the shared int8 sign block grows by one byte per added cell; the
-    # float64 copy in the product stays one _PRODUCT_ROWS-row block, and
-    # a few dozen bytes per sample hold the logs and values
+    # the int8 sign rows are hashed and their float64 copy made one
+    # _PRODUCT_ROWS-row block at a time; per sample, the memo keeps 15
+    # products and the sign columns of the primes up to 12 (141 bytes),
+    # and the logs, the values and the term sums take a few hundred bytes
+    # while the call runs.  A samples × primes int8 block alone would take
+    # len(primes) bytes per sample.
     added = 3000
-    assert peak(1000 + added) - peak(1000) < added * (len(primes) + 256)
+    (small_peak, _), (large_peak, large_kept) = traced(1000), traced(1000 + added)
+    assert large_peak - small_peak < added * (len(primes) + 256)
+    assert large_kept < (1000 + added) * 256  # no int8 block stays behind
 
 
 def test_sample_series_matrix_memory_does_not_scale_as_samples_times_n():
