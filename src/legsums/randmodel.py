@@ -348,7 +348,7 @@ def _euler_products(
     chis: tuple[CharTable, ...], primes: np.ndarray, prime_cutoff: int, samples: int, rows
 ) -> list[np.ndarray]:
     """prod_{p <= P} (1 - chi(p) X_p / p)^{-1} per sample for each
-    character: float64 for one real on the primes, complex for the others.
+    character: float64 for a character real at every prime, else complex.
     rows(start, stop) gives the int8 sign rows start .. stop-1 on the given
     primes, asked for _PRODUCT_ROWS rows at a time, so one block's float64
     copy is made at a time.
