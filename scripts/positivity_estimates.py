@@ -3,11 +3,12 @@
 rational alphas, via Euler-product evaluation, plus the combined
 (c+ + c-)/2 lower bound on the density of nonnegative partial sums.
 
-All 22 (alpha, parity) pairs read one memo of Euler products, filled by
-the first in one pass that hashes the signs 1024 samples at a time and
-keeps no samples × pi(cutoff) block, so memory grows by about 240 bytes
-per added sample: at cutoff 10^4 the first pair peaks at 11.0 MiB under
-tracemalloc for 1000 samples and 11.6 MiB for 4000."""
+All 22 (alpha, parity) pairs read one memo, the Euler products of the 15
+characters mod the supported denominators.  The first pair fills it in one
+pass that hashes the signs 1024 samples at a time and keeps no
+samples × pi(cutoff) block, so memory grows by about 240 bytes per added
+sample: at cutoff 10^4 the first pair peaks at 11.0 MiB under tracemalloc
+for 1000 samples and 11.6 MiB for 4000."""
 
 import argparse
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -236,7 +237,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_certify(args) -> int:
     report = tails.certify_neighborhood(float(args.alpha), constants=args.constants)
-    _emit(json.dumps(report.as_dict(), indent=2), args.out)
+    _emit(json.dumps(dataclasses.asdict(report), indent=2), args.out)
     return 0
 
 

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "PrimeTable",
     "sieve_primes",
     "first_primes",
     "primes_up_to",
@@ -23,48 +21,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to ``limit``."""
-
-    limit: int
-    primes: np.ndarray = field(repr=False)
-
-
-def _sieve_array(limit: int) -> np.ndarray:
-    """Boolean primality array for 0..limit (plain Eratosthenes)."""
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return mask
-
-
-def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve all primes up to and including ``limit``.
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes up to and including ``limit``, read-only, by plain
+    Eratosthenes.
 
     Raises ValueError for limit < 2 (the table would be empty).
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    mask = _sieve_array(limit)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
     primes = np.nonzero(mask)[0].astype(np.int64)
     primes.setflags(write=False)
-    return PrimeTable(limit=limit, primes=primes)
+    return primes
 
 
-# Shared table, empty at import: the first lookup sieves what it asks for,
-# and a lookup past the table sieves again, wider.
+# Shared (limit, primes), empty at import: the first lookup sieves what it
+# asks for, and a lookup past the table sieves again, wider.
 _cache_lock = threading.Lock()
-_cached = PrimeTable(limit=1, primes=np.zeros(0, dtype=np.int64))
+_cached = (1, np.zeros(0, dtype=np.int64))
 
 
-def _grown_to(limit: int) -> PrimeTable:
+def _grown_to(limit: int) -> tuple[int, np.ndarray]:
     global _cached
     with _cache_lock:
-        if _cached.limit < limit:
-            _cached = sieve_primes(limit)
+        if _cached[0] < limit:
+            _cached = (limit, sieve_primes(limit))
         return _cached
 
 
@@ -80,16 +65,16 @@ def first_primes(n: int) -> np.ndarray:
     """Array of the first n primes."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = _grown_to(_nth_prime_bound(n))
-    while len(table.primes) < n:
-        table = _grown_to(table.limit * 2)
-    return table.primes[:n]
+    limit, primes = _grown_to(_nth_prime_bound(n))
+    while len(primes) < n:
+        limit, primes = _grown_to(limit * 2)
+    return primes[:n]
 
 
 def primes_up_to(limit: int) -> np.ndarray:
     """Array of all primes <= limit."""
-    table = _grown_to(max(limit, 2))
-    return table.primes[: int(np.searchsorted(table.primes, limit, side="right"))]
+    primes = _grown_to(max(limit, 2))[1]
+    return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
 
 def is_prime(n: int) -> bool:

@@ -59,6 +59,12 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _seeds(seed0: int, start: int, stop: int) -> np.ndarray:
+    """The seeds seed0 + start .. seed0 + stop - 1 as the hash reads them:
+    uint64, mod 2^64 (so -1 is 2^64 - 1)."""
+    return np.arange(start, stop, dtype=np.uint64) + _U(int(seed0) % 2**64)
+
+
 def prime_sign_matrix(seeds: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """int8 matrix of X_p signs, rows indexed by seed, columns by prime.
 
@@ -260,60 +266,47 @@ def euler_values_matrix(
     """The series of decomp through its Euler products truncated at the
     prime cutoff, for seeds seed0 .. seed0+samples-1.  Sign identities that
     hold for the infinite object hold here exactly (up to roundoff) at every
-    cutoff."""
-    memo = _euler_memo(int(seed0), int(samples), int(prime_cutoff))
-    products = {t.chi: memo.product(t.chi) for t in decomp.terms}
-    return _euler_sum(decomp.terms, memo.signs, memo.small, prime_cutoff, products).real
+    cutoff.  Every term's character must be one of the characters mod the
+    supported denominators, as decompose_rational gives them; ValueError
+    names any other."""
+    small, signs, products = _euler_memo(int(seed0), int(samples), int(prime_cutoff))
+    outside = sorted({t.chi.name for t in decomp.terms if t.chi not in products})
+    if outside:
+        raise ValueError(
+            f"no Euler product for {', '.join(outside)}: only the characters mod "
+            f"{', '.join(map(str, _DENOMINATORS))} are supported"
+        )
+    return _euler_sum(decomp.terms, signs, small, prime_cutoff, products).real
 
 
 @functools.lru_cache(maxsize=1)
-def _euler_memo(seed0: int, samples: int, prime_cutoff: int) -> _EulerMemo:
-    """The memo of seeds seed0 .. seed0+samples-1 at the prime cutoff, made
-    once for all the (alpha, parity) pairs of a run."""
-    return _EulerMemo(seed0, samples, prime_cutoff)
+def _euler_memo(
+    seed0: int, samples: int, prime_cutoff: int
+) -> tuple[np.ndarray, np.ndarray, dict[CharTable, np.ndarray]]:
+    """For seeds seed0 .. seed0+samples-1, made once for all the (alpha,
+    parity) pairs of a run: the primes up to _DILATION_LIMIT, their int8
+    sign columns (which X_d reads), and the Euler product at the prime
+    cutoff of each character mod a supported denominator.
 
-
-class _EulerMemo:
-    """Each character's Euler product over seeds seed0 .. seed0+samples-1 at
-    one prime cutoff, and the sign columns of the primes up to
-    _DILATION_LIMIT (small), which X_d reads.
-
-    One pass over the seeds, _PRODUCT_ROWS at a time, fills the products of
-    the characters mod every supported denominator, in one fixed order; no
-    samples × primes sign block outlives its rows.  Another character (a
-    hand-built table) gets a pass of its own the first time it is asked
-    for.  So a character's product never depends on which were asked for
-    before it.  Every caller reads the same arrays, so they are read-only.
+    One pass over the seeds, _PRODUCT_ROWS at a time, fills the products in
+    one fixed order, so a product never depends on which pair asked first;
+    no samples × primes sign block outlives its rows.  Every caller reads
+    the same arrays, so they are read-only.
     """
+    primes = primes_up_to(max(prime_cutoff, _DILATION_LIMIT))
+    small = primes_up_to(_DILATION_LIMIT)
+    signs = np.empty((samples, len(small)), dtype=np.int8)
 
-    def __init__(self, seed0: int, samples: int, prime_cutoff: int):
-        self.seed0, self.samples, self.prime_cutoff = seed0, samples, prime_cutoff
-        self.primes = primes_up_to(max(prime_cutoff, _DILATION_LIMIT))
-        self.small = self.primes[self.primes <= _DILATION_LIMIT]
-        self.signs = np.empty((samples, len(self.small)), dtype=np.int8)
+    def rows(start: int, stop: int) -> np.ndarray:
+        block = prime_sign_matrix(_seeds(seed0, start, stop), primes)
+        signs[start:stop] = block[:, : len(small)]
+        return block
 
-        def rows(start: int, stop: int) -> np.ndarray:
-            signs = self._hash(start, stop)
-            self.signs[start:stop] = signs[:, : len(self.small)]
-            return signs
-
-        chis = tuple(dict.fromkeys(chi for m in _DENOMINATORS for chi in _characters(m)))
-        self.products = dict(zip(chis, self._products(chis, rows)))
-        self.signs.flags.writeable = False
-
-    def _hash(self, start: int, stop: int) -> np.ndarray:
-        return prime_sign_matrix(np.arange(self.seed0 + start, self.seed0 + stop), self.primes)
-
-    def _products(self, chis: tuple[CharTable, ...], rows) -> list[np.ndarray]:
-        products = _euler_products(chis, self.primes, self.prime_cutoff, self.samples, rows)
-        for product in products:
-            product.flags.writeable = False
-        return products
-
-    def product(self, chi: CharTable) -> np.ndarray:
-        if chi not in self.products:
-            (self.products[chi],) = self._products((chi,), self._hash)
-        return self.products[chi]
+    chis = tuple(dict.fromkeys(chi for m in _DENOMINATORS for chi in _characters(m)))
+    products = dict(zip(chis, _euler_products(chis, primes, prime_cutoff, samples, rows)))
+    for array in (signs, *products.values()):
+        array.flags.writeable = False
+    return small, signs, products
 
 
 def _euler_sum(
@@ -327,7 +320,8 @@ def _euler_sum(
     the terms (complex), per row of int8 sign columns on the given primes,
     X_d read from those columns.  The products are given by character (the
     memo's), or else computed over these rows by _euler_products (a pinned
-    or twisted sample, whose columns hold every prime up to P).  Terms with
+    or twisted sample, or a row of characters outside the memo, whose
+    columns hold every prime up to P).  Terms with
     the same character share its product, so they cancel exactly."""
     if products is None:
         chis = tuple(dict.fromkeys(t.chi for t in terms))
@@ -593,7 +587,7 @@ def sample_series_matrix(
     weights = _series_weights(coeff_columns, layout)
     out = np.empty((samples, coeff_columns.shape[1]))
     for start in range(0, samples, _SERIES_BATCH):
-        seeds = np.arange(seed0 + start, seed0 + min(start + _SERIES_BATCH, samples))
+        seeds = _seeds(seed0, start, min(start + _SERIES_BATCH, samples))
         signs = prime_sign_matrix(seeds, layout.primes)
         out[start : start + len(seeds)] = _series_sum(weights, signs, layout)
     return out

@@ -14,7 +14,7 @@ in a small neighborhood of 1/3.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -46,7 +46,6 @@ def negativity_bound(sigma2: float, D: float, u: float) -> float:
 class UOptimum:
     u: float
     value: float
-    degenerate: bool = False
 
 
 def optimize_u(sigma2: float, D: float) -> UOptimum:
@@ -58,15 +57,14 @@ def optimize_u(sigma2: float, D: float) -> UOptimum:
     s* = 2 sqrt(sigma2 (sigma2 + 1)) - 2 sigma2, so the only interior
     minimum is the root of h = ln(D) above s*, found by bisection to the
     last float.  If h(s*) <= ln(D) the bound only grows with s; u = exp(-s*)
-    is returned, and its value >= 1 flags it degenerate.  D = 0 gives the
-    limit optimum (0, 0).
+    is returned, with a value >= 1.  D = 0 gives the limit optimum (0, 0).
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     if D < 0:
         raise ValueError("D must be nonnegative")
     if D == 0:
-        return UOptimum(u=0.0, value=0.0, degenerate=True)
+        return UOptimum(u=0.0, value=0.0)
 
     def falls(s: float) -> bool:
         return math.log(s / (4 * sigma2)) - s * s / (8 * sigma2) - s > math.log(D)
@@ -79,8 +77,7 @@ def optimize_u(sigma2: float, D: float) -> UOptimum:
         while lo < (mid := (lo + hi) / 2) < hi:
             lo, hi = (mid, hi) if falls(mid) else (lo, mid)
     u = math.exp(-lo)
-    value = negativity_bound(sigma2, D, u)
-    return UOptimum(u=u, value=value, degenerate=value >= 1)
+    return UOptimum(u=u, value=negativity_bound(sigma2, D, u))
 
 
 # --------------------------------------------------------------------------
@@ -169,15 +166,6 @@ class CertificationReport:
     p_neg_plus: float
     c_lower: float
     certified: bool
-    constants: str
-    degenerate: bool = False
-
-    def as_dict(self) -> dict:
-        """The certificate's fields without the constants label and the
-        degenerate flag."""
-        out = asdict(self)
-        del out["constants"], out["degenerate"]
-        return out
 
 
 def certify_neighborhood(alpha: float, constants: str = "printed") -> CertificationReport:
@@ -216,6 +204,4 @@ def certify_neighborhood(alpha: float, constants: str = "printed") -> Certificat
         p_neg_plus=p_plus,
         c_lower=c_lower,
         certified=delta <= 2e-6 * (1 + 1e-9) and c_lower >= 0.534,
-        constants=constants,
-        degenerate=opt_minus.degenerate or opt_plus.degenerate,
     )

@@ -426,3 +426,15 @@ def test_constants_table(capsys):
     assert any("c_lower" in n for n in names)
     by_name = {r["constant"]: r for r in rows}
     assert by_name["zeta(4/3)^3/zeta(8/3) * 2^(4/3)"]["recomputed"] < 92
+
+
+def test_seeds_past_int64_are_distinct_samples(capsys):
+    # the two samples are seeds 2^63 - 1 and 2^63; equal ones would give mc_se 0
+    code, out = run(capsys, "moments", "--alpha", "1/3", "--parity", "plus", "--seed",
+                    str(2**63 - 1), "--samples", "2", "--truncation", "10", "--format", "json")
+    assert code == 0
+    assert all(row["mc_se"] > 0 for row in json.loads(out))
+    # seeds are read mod 2^64: -1 is 2^64 - 1, and below -2^63 still runs
+    simulate = ("simulate", "--alpha", "1/3", "--samples", "3", "--truncation", "1000", "--seed")
+    assert run(capsys, *simulate, str(2**64 - 1)) == run(capsys, *simulate, "-1")
+    assert run(capsys, *simulate, str(-(2**63) - 1))[0] == 0

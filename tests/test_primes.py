@@ -21,8 +21,9 @@ ODD_PRIMES = [p for p in primes_up_to(500).tolist() if p > 2]
 
 
 def test_sieve_small():
-    table = sieve_primes(30)
-    assert table.primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    primes = sieve_primes(30)
+    assert primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert not primes.flags.writeable
 
 
 def test_no_sieve_runs_at_import():
@@ -37,7 +38,7 @@ def test_no_sieve_runs_at_import():
         "sys.setprofile(hook)",
         "import legsums, legsums.cli",
         "sys.setprofile(None)",
-        "print(calls, legsums.primes._cached.limit, len(legsums.charsum._forms))",
+        "print(calls, legsums.primes._cached[0], len(legsums.charsum._forms))",
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout

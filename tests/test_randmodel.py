@@ -152,9 +152,12 @@ def test_coefficients_repeat_one_period(alpha, parity):
 @pytest.mark.parametrize("alpha,parity", SUPPORTED)
 def test_derived_row_matches_the_hand_row(alpha, parity):
     # 1/6 minus and 1/12, 5/12 minus differ in shape from the hand rows
-    # (E_6 = (1 - X_2/2) E_3) but not in value
+    # (E_6 = (1 - X_2/2) E_3) but not in value.  The hand characters are
+    # not the memo's, so the hand row goes through explicit sign rows.
     derived = rm.euler_values_matrix(decompose_rational(alpha, parity), 10_000, prime_cutoff=1000)
-    hand = rm.euler_values_matrix(hand_decomposition(alpha, parity), 10_000, prime_cutoff=1000)
+    primes = primes_up_to(1000)
+    signs = rm.prime_sign_matrix(np.arange(10_000), primes)
+    hand = rm._euler_sum(hand_decomposition(alpha, parity).terms, signs, primes, 1000).real
     np.testing.assert_allclose(derived, hand, rtol=0, atol=5e-14)
 
 
@@ -373,10 +376,11 @@ def test_euler_memo_is_keyed_and_read_only():
         )
     info = rm._euler_memo.cache_info()
     assert (info.hits, info.misses) == (1, 5)
-    memo = rm._euler_memo(0, 50, 100)
-    arrays = [memo.signs, *memo.products.values()]
+    small, signs, products = rm._euler_memo(0, 50, 100)
+    assert small.tolist() == [2, 3, 5, 7, 11]
+    arrays = [signs, *products.values()]
     assert len(arrays) == 16  # the sign columns and the 15 supported characters
-    for array in arrays:
+    for array in [small, *arrays]:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1
@@ -384,7 +388,7 @@ def test_euler_memo_is_keyed_and_read_only():
 
 def test_euler_values_do_not_depend_on_call_order():
     # the supported characters are filled together, whichever pair asks
-    # first; a hand-built character outside them gets a pass of its own
+    # first; a hand-built character outside them has no product
     def run(pairs, cold=False):
         out = {}
         for pair in pairs:
@@ -398,10 +402,33 @@ def test_euler_values_do_not_depend_on_call_order():
     assert run(SUPPORTED[::-1]) == forward
     assert run(SUPPORTED, cold=True) == forward
     hand = hand_decomposition(Fraction(1, 12), "plus")  # chi4*chi_0_3 and three more
-    assert not any(t.chi in rm._euler_memo(5, 2000, 1000).products for t in hand.terms)
-    warm = rm.euler_values_matrix(hand, 2000, seed0=5)
-    rm._euler_memo.cache_clear()
-    assert rm.euler_values_matrix(hand, 2000, seed0=5).tobytes() == warm.tobytes()
+    with pytest.raises(ValueError, match=r"chi4\*chi_0_3"):
+        rm.euler_values_matrix(hand, 2000, seed0=5)
+
+
+def test_euler_values_matrix_rejects_a_hand_built_character():
+    chi7 = rm.CharTable("legendre_mod7", 7, (0, 1, 1, -1, 1, -1, -1))
+    d = rm.RationalDecomposition(Fraction(1, 3), "plus", (rm.Term(1, chi7),))
+    with pytest.raises(ValueError, match="legendre_mod7"):
+        rm.euler_values_matrix(d, 10)
+
+
+@pytest.mark.parametrize("seed0", [2**63 - 2, -(2**63) - 1, 2**64 - 2, -1])
+def test_seeds_wrap_mod_2_64(seed0):
+    # seeds past the int64 range are the hash's uint64 seeds mod 2^64, one
+    # per sample, as -1 is 2^64 - 1
+    wrapped = np.array([(seed0 + i) % 2**64 for i in range(4)], dtype=np.uint64)
+    primes = primes_up_to(100)
+    expected = rm.prime_sign_matrix(wrapped, primes)
+    assert len({row.tobytes() for row in expected}) == 4
+    N = 60
+    values = sample_series_matrix(np.ones((N, 1)), N, 4, seed0)[:, 0]
+    for row, value in zip(expected, values):
+        exact = math.fsum(x_of(n, lambda p: int(row[primes == p][0])) / n for n in range(1, N + 1))
+        assert value == pytest.approx(exact, rel=0, abs=1e-12)
+    d = decompose_rational(Fraction(1, 5), "plus")
+    np.testing.assert_allclose(rm.euler_values_matrix(d, 4, seed0, 100),
+                               rm._euler_sum(d.terms, expected, primes, 100).real, rtol=0, atol=1e-12)
 
 
 def test_dilation_outside_the_sign_columns_raises():

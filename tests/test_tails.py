@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -61,11 +62,12 @@ def test_optimize_u_small_D_limit():
         opt = optimize_u(0.395, D)
         assert opt.u < prev_u and opt.value < prev_v
         prev_u, prev_v = opt.u, opt.value
-    assert optimize_u(0.395, 0.0) == tails.UOptimum(0.0, 0.0, True)
+    assert optimize_u(0.395, 0.0) == tails.UOptimum(0.0, 0.0)
 
 
 def test_optimize_u_degenerate_flag():
-    assert optimize_u(0.395, 5.0).degenerate
+    # no threshold brings the bound below 1
+    assert optimize_u(0.395, 5.0).value >= 1
 
 
 def _mp_min_negativity_bound(sigma2, D):
@@ -92,7 +94,7 @@ def test_optimize_u_matches_mpmath_minimum(D):
     u, value = _mp_min_negativity_bound(0.395, D)
     assert abs(opt.u - u) <= 1e-12 * u
     assert abs(opt.value - value) <= 1e-12 * value
-    assert not opt.degenerate
+    assert opt.value < 1
 
 
 @pytest.mark.parametrize("D", [0.3, 5.0])
@@ -100,7 +102,6 @@ def test_optimize_u_without_interior_minimum_is_degenerate(D):
     opt = optimize_u(0.395, D)
     assert 0 < opt.u < 1
     assert opt.value >= 1
-    assert opt.degenerate
 
 
 # --------------------------------------------------------------------------
@@ -253,7 +254,7 @@ def test_certify_degenerate_at_center():
     rep = certify_neighborhood(1 / 3)
     assert rep.c_lower == 1.0
     assert rep.certified
-    assert rep.degenerate
+    assert rep.u_minus == rep.u_plus == 0.0  # the limit optimum at D = 0
 
 
 def test_certify_far_alpha_not_certifying():
@@ -276,9 +277,9 @@ def test_printed_intermediate_constants():
     assert 282 * d23 <= 0.0447 + 1e-4
 
 
-def test_certify_json_keys():
-    rep = certify_neighborhood(1 / 3 + 2e-6)
-    keys = set(rep.as_dict())
+def test_certify_json_keys(capsys):
+    assert main(["certify", "--alpha", str(1 / 3 + 2e-6)]) == 0
+    keys = set(json.loads(capsys.readouterr().out))
     assert keys == {
         "alpha", "delta", "d_minus", "d_plus", "u_minus", "u_plus",
         "p_neg_minus", "p_neg_plus", "c_lower", "certified",
