@@ -3,9 +3,10 @@ primes, and a random completely multiplicative model with a certified
 positivity lower bound near alpha = 1/3.
 
 The interface is the modules: ``legsums.primes``, ``legsums.charsum``,
-``legsums.fourier``, ``legsums.randmodel`` and ``legsums.tails``.
+``legsums.randmodel`` (whose series engine also evaluates a prime's truncated
+Fourier reconstruction, the prime as one sample row) and ``legsums.tails``.
 """
 
-from . import charsum, fourier, primes, randmodel, tails
+from . import charsum, primes, randmodel, tails
 
 __version__ = "0.1.0"

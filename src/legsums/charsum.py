@@ -116,12 +116,6 @@ def _reduce_squares(squares: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     return np.subtract(sq, r, out=r)
 
 
-def _quadratic_residues(p: int) -> np.ndarray:
-    """The (p-1)/2 quadratic residues mod an odd prime p, unsorted."""
-    squares = _squares((p - 1) // 2)
-    return _reduce_squares(squares, p, out=np.empty_like(squares))
-
-
 def legendre_sum(alpha: Alpha, p: int) -> int:
     """Exact partial sum of Legendre symbols (n/p) for n <= floor(alpha*p).
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import charsum, fourier, randmodel, tails
+from . import charsum, randmodel, tails
 from .charsum import parse_alpha
 
 
@@ -128,7 +128,7 @@ def _cmd_fourier_check(args) -> int:
     alpha = args.alpha
     try:
         exact = charsum.legendre_sum(alpha, args.p)
-        approx = [fourier.fourier_partial(alpha, args.p, M) for M in args.truncation]
+        approx = [randmodel.fourier_partial(alpha, args.p, M) for M in args.truncation]
     except ValueError as exc:  # p not an odd prime, alpha out of range or alpha*p integral
         print(f"legsums: error: {exc}", file=sys.stderr)
         return 2

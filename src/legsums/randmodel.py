@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .primes import primes_up_to
+from .primes import is_prime, primes_up_to
 
 
 # --------------------------------------------------------------------------
@@ -591,6 +591,38 @@ def sample_series_matrix(
         signs = prime_sign_matrix(seeds, layout.primes)
         out[start : start + len(seeds)] = _series_sum(weights, signs, layout)
     return out
+
+
+class BoundaryAlphaError(ValueError):
+    """alpha*p is an integer: the pointwise Fourier identity excludes it."""
+
+
+def fourier_partial(alpha: Fraction | float, p: int, M: int) -> float:
+    """Truncated Fourier reconstruction of the Legendre partial sum L(alpha, p).
+
+    Pólya's expansion with its +m/-m terms paired is the model's series at
+    X_n = (n/p): (sqrt(p)/pi) sum_{m <= M} (m/p) a_m / m, with the sine
+    coefficients (CoefficientSpec 'plus') for p ≡ 1 (mod 4) and the 1 - cos
+    ones ('minus') for p ≡ 3 (mod 4).  The prime is one sample row of the
+    series engine.  a_m is set to 0 at the multiples of p, the only n whose
+    X_n reads X_p, so the row takes X_p = +1.  A float alpha is the dyadic
+    rational it stores, so the boundary test is exact.
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"fourier_partial needs an odd prime, got {p}")
+    if (Fraction(alpha) * p).denominator == 1:
+        raise BoundaryAlphaError(f"alpha*p integral for alpha={alpha}, p={p}")
+    coeffs = CoefficientSpec("plus" if p % 4 == 1 else "minus", alpha).coefficients(M)
+    coeffs[p - 1 :: p] = 0.0
+    layout = _kernel_layout(M)
+    # Euler's criterion: q^((p-1)/2) mod p is p - 1 at the nonresidues q, and
+    # 0 at q = p, which takes +1
+    residue = [pow(q, (p - 1) // 2, p) != p - 1 for q in layout.primes.tolist()]
+    signs = 2 * np.array([residue], dtype=np.int8) - 1
+    weights = _series_weights(coeffs[:, None], layout)
+    return math.sqrt(p) / math.pi * float(_series_sum(weights, signs, layout)[0, 0])
 
 
 #: roundoff bound for the sign tests: Euler values that are exactly 0 (at

@@ -9,6 +9,7 @@ import numpy as np
 from legsums.primes import jacobi, primes_up_to
 from legsums.randmodel import (
     CharTable,
+    CoefficientSpec,
     RationalDecomposition,
     Term,
     _euler_sum,
@@ -173,6 +174,16 @@ def kronecker_chi(a: int, n: int) -> int:
 def legendre_values(p: int) -> np.ndarray:
     """(n/p) for 0 <= n < p by the Jacobi symbol."""
     return np.array([jacobi(n, p) for n in range(p)])
+
+
+def fourier_direct(alpha, p: int, M: int) -> float:
+    """Pólya's truncated expansion of L(alpha, p) summed term by term:
+    (sqrt(p)/pi) sum_{m <= M} (m/p) a_m / m, with the sine coefficients for
+    p ≡ 1 (mod 4) and the 1 - cos ones for p ≡ 3 (mod 4)."""
+    m = np.arange(1, M + 1)
+    chi = legendre_values(p)[m % p]
+    terms = CoefficientSpec("plus" if p % 4 == 1 else "minus", alpha).coefficients(M) / m
+    return math.sqrt(p) / math.pi * float(np.sum(terms * chi))
 
 
 def gauss_sum(p: int) -> complex:

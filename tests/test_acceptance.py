@@ -8,6 +8,7 @@ lists them.
 """
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from legsums.charsum import density_scan, dirichlet_checks, legendre_sum
-from legsums.fourier import fourier_partial
+from legsums.randmodel import fourier_partial
 from legsums.primes import jacobi, primes_up_to
 from legsums import randmodel as rm
 from legsums import tails
@@ -164,6 +165,19 @@ def _assert_sixth_minus_conditional_law(vals):
         assert L == prefactor * class_number_h(p), p
         assert (L < 0) == (p % 24 == 19), (p, L)
     assert legendre_sum(Fraction(1, 6), 19) == -1
+
+
+def test_criterion_5_minus_class_dips_below_zero_between_third_and_half():
+    # finding: on the minus class, L(alpha, p) >= 0 does not hold on all of
+    # [1/3, 1/2]; at p = 218527 ≡ 7 (mod 24) it is 282 at 1/3 and 141 at 1/2,
+    # but -2 at 8/17 (m = 102836)
+    p = 218527
+    assert p % 24 == 7
+    partial = list(itertools.accumulate((jacobi(n, p) for n in range(1, p // 2 + 1)), initial=0))
+    for alpha, expected in ((Fraction(1, 3), 282), (Fraction(8, 17), -2), (Fraction(1, 2), 141)):
+        assert partial[math.floor(alpha * p)] == expected, alpha
+        assert legendre_sum(alpha, p) == expected, alpha
+    assert math.floor(Fraction(8, 17) * p) == 102836
 
 
 def test_criterion_5_eighth_plus_conditional_law():

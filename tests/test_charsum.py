@@ -278,7 +278,8 @@ def test_engine_matches_jacobi_prefix_at_dtype_switch(p):
         floors = [charsum._floor_chunk(primes, np.where(primes == p, m, 0), offsets)[i]
                   for m in cuts]
         assert floors == [prefix[m] for m in cuts]
-    residues = charsum._quadratic_residues(p)
+    squares = charsum._squares((p - 1) // 2)
+    residues = charsum._reduce_squares(squares, p, np.empty_like(squares))
     assert sorted(residues.tolist()) == sorted({k * k % p for k in range(1, p)})
 
 

@@ -371,9 +371,12 @@ def test_moments_every_order_has_a_z(capsys):
     ["simulate", "--alpha", "1/5", "--evaluator", "euler", "--samples", "2500",
      "--prime-cutoff", "10000"],
     ["fourier-check", "--alpha", "2/5", "--p", "101"],
+    # at M = 10^6 the series engine's large-prime products are wide
+    ["fourier-check", "--alpha", "1/3", "--p", "10007", "--truncation", "1000000"],
     ["moments", "--alpha", "1/3", "--parity", "minus", "--k", "5", "6", "--truncation", "3000",
      "--samples", "2000"],
-], ids=["moments", "simulate", "simulate-fifth", "fourier-check", "moments-k5-k6"])
+], ids=["moments", "simulate", "simulate-fifth", "fourier-check", "fourier-check-wide",
+        "moments-k5-k6"])
 def test_output_does_not_depend_on_blas_threads(argv):
     # OpenBLAS splits long dot products and matrix products across its
     # threads, which can change the last bits of a sum

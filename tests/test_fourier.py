@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from legsums.charsum import legendre_sum
-from legsums.fourier import BoundaryAlphaError, fourier_partial
+from legsums.randmodel import BoundaryAlphaError, fourier_partial
 from legsums.primes import primes_up_to
-from reference import gauss_sum, legendre_values
+from reference import fourier_direct, gauss_sum, legendre_values
 
 ODD_PRIMES_499 = [p for p in primes_up_to(499).tolist() if p > 2]
 
@@ -39,6 +39,19 @@ def test_fourier_partial_converges():
         err_big = abs(fourier_partial(alpha, p, 100000) - exact)
         assert err_big <= 0.1
         assert err_big < err_small
+
+
+# 1009 .. 10009 exceed the smaller truncations; 3 .. 103 are at most M in
+# nearly every case, so there the multiples of p, which carry no term, count
+@pytest.mark.parametrize("p", [1009, 1013, 10007, 10009, 3, 5, 101, 103])
+def test_fourier_partial_equals_the_direct_sum(p):
+    # the series engine on the prime's sign row against the term-by-term sum
+    for alpha in (Fraction(1, 3), Fraction(2, 5), 1 / math.e):
+        if (Fraction(alpha) * p).denominator == 1:
+            continue
+        for M in (10**2, 10**3, 10**4, 10**5):
+            direct = fourier_direct(alpha, p, M)
+            assert abs(fourier_partial(alpha, p, M) - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
 def _twisted_sum_max(alpha, p, N):
