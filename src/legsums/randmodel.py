@@ -6,7 +6,8 @@ independent fair ±1 sign for every prime from a counter-based hash of
 reproducible regardless of evaluation order or thread count.  X_n extends
 the prime signs completely multiplicatively.  An altered sample (pinned
 signs, or the Liouville twist X_n -> lambda(n) X_n, which is the negated
-row) is a plain int8 row on the same primes.
+row) is a plain int8 row on the same primes, and so is a prime p, whose row
+of Legendre symbols gives Pólya's expansion of L(alpha, p) (fourier_partial).
 
 For the sine / (1 - cosine) coefficient families at the supported rational
 alphas, the coefficient sequence decomposes into finitely many dilated
