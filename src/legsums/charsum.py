@@ -148,8 +148,6 @@ class DensityReport:
     zero_count: int
     nonneg_1mod4: int
     nonneg_3mod4: int
-    strict_pos_1mod4: int
-    strict_pos_3mod4: int
 
 
 def _scan_chunk(primes: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
@@ -184,8 +182,6 @@ def _floor_chunk(primes: np.ndarray, cutoffs: np.ndarray, offsets: np.ndarray) -
     shifted = np.empty_like(squares)
     totals = np.zeros(len(primes), dtype=squares.dtype)
     for i, (p, m) in enumerate(zip(primes.tolist(), cutoffs.tolist())):
-        if p == 2:  # L(alpha, 2) = 0 by convention (see DensityReport)
-            continue
         h = (p - 1) // 2
         t = np.add(squares[:h], p - 1 - m, out=shifted[:h])
         np.floor_divide(t, p, out=t)
@@ -254,7 +250,7 @@ def _tally(alpha: Alpha, sums: np.ndarray, mod4: np.ndarray) -> DensityReport:
     """The report of one row of partial sums, with mod4 = primes % 4."""
     nonneg, strict = sums >= 0, sums > 0
     one, three = mod4 == 1, mod4 == 3
-    masks = (nonneg, strict, sums == 0, nonneg & one, nonneg & three, strict & one, strict & three)
+    masks = (nonneg, strict, sums == 0, nonneg & one, nonneg & three)
     return DensityReport(alpha, len(sums), *(int(np.count_nonzero(m)) for m in masks))
 
 

@@ -2,7 +2,9 @@
 
 Every subcommand is deterministic given its flags (seed defaults to 0), and
 output bodies are independent of the thread count.  Exit codes: 0 success,
-1 a verification-style check failed, 2 usage error (argparse default).
+1 a verification-style check failed, 2 usage error: argparse's own, an input
+a library check rejects, a size too large for numpy to index or for memory
+to hold, or an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -20,24 +22,6 @@ import numpy as np
 
 from . import charsum, randmodel, tails
 from .charsum import parse_alpha
-
-
-class _OutError(Exception):
-    """--out names a path that cannot be written (a usage error, exit 2)."""
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    """Write text to --out first, then to stdout, so a path that cannot be
-    written leaves stdout empty."""
-    if not text.endswith("\n"):
-        text += "\n"
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _OutError(f"--out {out_path}: {exc.strerror}") from None
-    sys.stdout.write(text)
 
 
 def _rows_to_text(rows: list[dict], fmt: str) -> str:
@@ -89,9 +73,10 @@ def _alpha(text: str):
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (text, status), status an exit code or, as
+# sys.exit takes it, a message for stderr with exit 1
 
-def _cmd_density(args) -> int:
+def _cmd_density(args) -> tuple[str, int | str]:
     report = charsum.density_scan(args.alpha, args.primes)
     row = {
         "alpha": str(report.alpha),
@@ -103,15 +88,14 @@ def _cmd_density(args) -> int:
         "nonneg_3mod4": report.nonneg_3mod4,
         "mode": args.mode,
     }
-    _emit(json.dumps(row) if args.format == "json" else _rows_to_text([row], "csv"), args.out)
+    text = json.dumps(row) if args.format == "json" else _rows_to_text([row], "csv")
     count = report.nonneg_count if args.mode == "ge" else report.strict_pos_count
     if args.verify is not None and count != args.verify:
-        print(f"verify failed: expected {args.verify}, got {count}", file=sys.stderr)
-        return 1
-    return 0
+        return text, f"verify failed: expected {args.verify}, got {count}"
+    return text, 0
 
 
-def _cmd_dirichlet(args) -> int:
+def _cmd_dirichlet(args) -> tuple[str, int]:
     checks = charsum.dirichlet_checks(args.max_p)
     failed = sum(not chk.ok for chk in checks)
     rows = [{"p": chk.p, "lhs": chk.lhs, "rhs": chk.rhs,
@@ -120,28 +104,22 @@ def _cmd_dirichlet(args) -> int:
         rows = [r for r in rows if not r["ok"] or r["excluded"]]
         rows.append({"p": "total", "lhs": "", "rhs": "",
                      "excluded": "", "ok": failed == 0})
-    _emit(_rows_to_text(rows, args.format), args.out)
-    return 1 if failed else 0
+    return _rows_to_text(rows, args.format), 1 if failed else 0
 
 
-def _cmd_fourier_check(args) -> int:
+def _cmd_fourier_check(args) -> tuple[str, int]:
     alpha = args.alpha
-    try:
-        exact = charsum.legendre_sum(alpha, args.p)
-        approx = [randmodel.fourier_partial(alpha, args.p, M) for M in args.truncation]
-    except ValueError as exc:  # p not an odd prime, alpha out of range or alpha*p integral
-        print(f"legsums: error: {exc}", file=sys.stderr)
-        return 2
+    exact = charsum.legendre_sum(alpha, args.p)
+    approx = [randmodel.fourier_partial(alpha, args.p, M) for M in args.truncation]
     rows = [
         {"alpha": str(alpha), "p": args.p, "M": M, "exact": exact,
          "truncated": t, "abs_error": abs(t - exact)}
         for M, t in zip(args.truncation, approx)
     ]
-    _emit(_rows_to_text(rows, args.format), args.out)
-    return 0
+    return _rows_to_text(rows, args.format), 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[str, int]:
     parities = ["plus", "minus"] if args.parity == "both" else [args.parity]
     alpha = args.alpha
     if args.evaluator == "series":
@@ -175,11 +153,10 @@ def _cmd_simulate(args) -> int:
              "samples": args.samples, "strict_fraction": "",
              "nonneg_fraction": combined, "ci95_strict": "", "ci95_nonneg": ""}
         )
-    _emit(_rows_to_text(rows, args.format), args.out)
-    return 0
+    return _rows_to_text(rows, args.format), 0
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[str, int]:
     decomp = randmodel.decompose_rational(args.alpha, args.parity)
 
     def real(x: float) -> str:
@@ -206,18 +183,13 @@ def _cmd_decompose(args) -> int:
     if not rows:
         rows = [{"coeff": 0, "character": "(empty)", "period": 1,
                  "values": "", "dilation": 1}]
-    _emit(_rows_to_text(rows, args.format), args.out)
-    return 0
+    return _rows_to_text(rows, args.format), 0
 
 
-def _cmd_moments(args) -> int:
+def _cmd_moments(args) -> tuple[str, int]:
     alpha = args.alpha
     coeffs = randmodel.CoefficientSpec(args.parity, alpha).coefficients(args.truncation)
-    try:
-        exact = randmodel.moment_bundle(coeffs, max(args.k))
-    except ValueError as exc:  # k >= 5 with too many primes <= sqrt(N)
-        print(f"legsums: error: {exc}", file=sys.stderr)
-        return 2
+    exact = randmodel.moment_bundle(coeffs, max(args.k))
     mc = randmodel.sample_series_matrix(
         coeffs[:, None], args.truncation, args.samples, args.seed
     )[:, 0]
@@ -231,17 +203,15 @@ def _cmd_moments(args) -> int:
             {"alpha": str(alpha), "parity": args.parity, "k": k,
              "direct": exact[k], "mc": mc_mean, "mc_se": mc_se, "z": z}
         )
-    _emit(_rows_to_text(rows, args.format), args.out)
-    return 0
+    return _rows_to_text(rows, args.format), 0
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple[str, int]:
     report = tails.certify_neighborhood(float(args.alpha), constants=args.constants)
-    _emit(json.dumps(dataclasses.asdict(report), indent=2), args.out)
-    return 0
+    return json.dumps(dataclasses.asdict(report), indent=2), 0
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args) -> tuple[str, int]:
     partial, tail, total = tails.sigma2_one_third(10**5)
     zr = tails.zeta_ratio_check(10**5)
     xi = randmodel.xi_statistics(10**5)
@@ -274,8 +244,7 @@ def _cmd_constants(args) -> int:
         {"constant": "twist product, alpha=1/5",
          "recomputed": 4 * math.pi**2 / 25, "printed": 4 * math.pi**2 / 25},
     ]
-    _emit(_rows_to_text(rows, args.format), args.out)
-    return 0
+    return _rows_to_text(rows, args.format), 0
 
 
 # --------------------------------------------------------------------------
@@ -359,12 +328,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code (see the module docstring).
+
+    The output goes to --out first, then to stdout, so a path that cannot be
+    written leaves stdout empty; a rejected input gives one stderr line.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (_OutError, randmodel.UnsupportedAlphaError) as exc:  # usage errors
-        print(f"legsums: error: {exc}", file=sys.stderr)
+        text, status = args.func(args)
+        text = text.removesuffix("\n") + "\n"
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"--out {args.out}: {exc.strerror}") from None
+    except (ValueError, OverflowError, MemoryError) as exc:
+        print(f"legsums: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    if isinstance(status, str):
+        print(status, file=sys.stderr)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

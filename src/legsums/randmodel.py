@@ -191,8 +191,6 @@ class Term:
 
 @dataclass(frozen=True)
 class RationalDecomposition:
-    alpha: Fraction
-    parity: str
     terms: tuple[Term, ...]
 
 
@@ -229,8 +227,7 @@ def decompose_rational(alpha: Fraction | float | str, parity: str) -> RationalDe
             f"no decomposition for alpha={alpha}{hint}, parity={parity}; supported "
             f"alphas: {', '.join(str(a) for a in SUPPORTED_ALPHAS)}"
         )
-    alpha = exact
-    b, q = alpha.numerator, alpha.denominator
+    b, q = exact.numerator, exact.denominator
     f = math.sin if parity == "plus" else (lambda t: 1 - math.cos(t))
     terms = []
     for g in (g for g in range(1, q + 1) if q % g == 0):
@@ -241,7 +238,7 @@ def decompose_rational(alpha: Fraction | float | str, parity: str) -> RationalDe
             c = sum(chi.values[a % chi.period].conjugate() * w for a, w in zip(units, wave))
             if abs(c) > 1e-12:  # else zero but for roundoff (sin(pi) is 1.2e-16)
                 terms.append(Term(c / len(units), chi, g))
-    return RationalDecomposition(alpha=alpha, parity=parity, terms=tuple(terms))
+    return RationalDecomposition(terms=tuple(terms))
 
 
 # --------------------------------------------------------------------------

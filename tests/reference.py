@@ -124,7 +124,7 @@ def hand_decomposition(alpha: Fraction, parity: str) -> RationalDecomposition:
     b = alpha.numerator
     terms = tuple(Term(t.coeff * t.chi.values[b % t.chi.period], t.chi, t.dilation)
                   for t in HAND_ROWS[alpha.denominator, parity])
-    return RationalDecomposition(alpha=alpha, parity=parity, terms=terms)
+    return RationalDecomposition(terms=terms)
 
 
 def decomposition_coefficients(decomp: RationalDecomposition, N: int) -> np.ndarray:

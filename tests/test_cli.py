@@ -113,6 +113,46 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target):
     assert len(lines) == 1 and lines[0].startswith(f"legsums: error: --out {path}")
 
 
+def _assert_one_error_line(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("legsums: error: ")
+    return lines[0]
+
+
+HUGE = str(10**22)
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--alpha", "1/3", "--primes", HUGE],
+    ["dirichlet", "--max-p", HUGE],
+    ["simulate", "--alpha", "1/3", "--samples", HUGE],
+    ["simulate", "--alpha", "1/3", "--prime-cutoff", HUGE],
+    ["simulate", "--alpha", "1/3", "--evaluator", "series", "--truncation", HUGE],
+    ["moments", "--alpha", "1/3", "--parity", "minus", "--truncation", HUGE],
+    ["fourier-check", "--alpha", "1/3", "--p", "101", "--truncation", HUGE],
+], ids=["density-primes", "dirichlet-max-p", "simulate-samples", "simulate-prime-cutoff",
+        "simulate-series-truncation", "moments-truncation", "fourier-check-truncation"])
+def test_size_numpy_cannot_index_is_a_usage_error(capsys, argv):
+    # 10^22 is past int64 and past numpy's dimension limit, so numpy refuses
+    # it before it allocates anything
+    _assert_one_error_line(capsys, main(argv))
+
+
+def test_refused_allocation_is_a_usage_error(monkeypatch, capsys):
+    from legsums import charsum
+
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(charsum, "density_scan", refuse)
+    # a MemoryError raised without a message is named by its type
+    line = _assert_one_error_line(capsys, main(["density", "--alpha", "1/3", "--primes", "10"]))
+    assert line == "legsums: error: MemoryError"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

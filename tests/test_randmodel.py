@@ -408,7 +408,7 @@ def test_euler_values_do_not_depend_on_call_order():
 
 def test_euler_values_matrix_rejects_a_hand_built_character():
     chi7 = rm.CharTable("legendre_mod7", 7, (0, 1, 1, -1, 1, -1, -1))
-    d = rm.RationalDecomposition(Fraction(1, 3), "plus", (rm.Term(1, chi7),))
+    d = rm.RationalDecomposition((rm.Term(1, chi7),))
     with pytest.raises(ValueError, match="legendre_mod7"):
         rm.euler_values_matrix(d, 10)
 
