@@ -1,43 +1,5 @@
 #!/usr/bin/env python3
-"""Monte Carlo positivity probabilities c±(alpha) for the supported
-rational alphas, via Euler-product evaluation, plus the combined
-(c+ + c-)/2 lower bound on the density of nonnegative partial sums.
-
-All 22 (alpha, parity) pairs read one memo, the Euler products of the 15
-characters mod the supported denominators.  The first pair fills it in one
-pass that hashes the signs 1024 samples at a time and keeps no
-samples × pi(cutoff) block, so memory grows by about 240 bytes per added
-sample: at cutoff 10^4 the first pair peaks at 11.0 MiB under tracemalloc
-for 1000 samples and 11.6 MiB for 4000."""
-
-import argparse
-
-from legsums import randmodel as rm
-from legsums.cli import _int_at_least
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=_int_at_least(1), default=10000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--prime-cutoff", type=_int_at_least(2), default=1000)
-    args = parser.parse_args()
-
-    print(f"{'alpha':>6} {'c+ (strict)':>12} {'c+ (>=0)':>10} "
-          f"{'c- (strict)':>12} {'c- (>=0)':>10} {'combined':>9}")
-    for alpha in rm.SUPPORTED_ALPHAS:
-        ests = {}
-        for parity in ("plus", "minus"):
-            d = rm.decompose_rational(alpha, parity)
-            ests[parity] = rm.estimate_positivity(
-                d, args.samples, seed=args.seed, prime_cutoff=args.prime_cutoff
-            )
-        combined = (ests["plus"].nonneg_fraction + ests["minus"].nonneg_fraction) / 2
-        print(f"{str(alpha):>6} {ests['plus'].strict_fraction:>12.4f} "
-              f"{ests['plus'].nonneg_fraction:>10.4f} "
-              f"{ests['minus'].strict_fraction:>12.4f} "
-              f"{ests['minus'].nonneg_fraction:>10.4f} {combined:>9.4f}")
-
-
-if __name__ == "__main__":
-    main()
+"""The c±(alpha) table: runs `legsums positivity-table` with this script's arguments."""
+import sys
+from legsums.cli import main
+sys.exit(main(["positivity-table", *sys.argv[1:]]))

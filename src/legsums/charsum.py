@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .primes import first_primes, is_prime, jacobi, primes_up_to
+from .primes import first_primes, is_prime, primes_up_to
 
 __all__ = [
     "DensityReport",
@@ -338,7 +338,8 @@ def dirichlet_checks(max_p: int) -> list[DirichletCheck]:
     odd prime p <= max_p.
 
     For p ≡ 1 (mod 4) the sum is 0; for p ≡ 3 (mod 4) it equals
-    (2 - (2/p)) * h(-p).  The sums come from a residue count, which reads no
+    (2 - (2/p)) * h(-p), where (2/p) is +1 for p ≡ ±1 (mod 8) and -1
+    otherwise.  The sums come from a residue count, which reads no
     class number, split over threads as in density_sweep: at max_p = 300000
     it took 3.1 s on 2 cores, against 5.0 s as one serial count.  h(-p)
     comes from the table the one-alpha scans read.  p = 3 is excluded (the
@@ -350,5 +351,6 @@ def dirichlet_checks(max_p: int) -> list[DirichletCheck]:
     primes = primes_up_to(max_p)[1:]
     sums = _scan_spans(primes, _scan_chunk, alpha_cutoff(Fraction(1, 2), primes)[None])[0]
     class_numbers = _class_numbers(primes)
-    return [DirichletCheck(p=p, lhs=lhs, rhs=(2 - jacobi(2, p)) * h, excluded=p == 3)
+    return [DirichletCheck(p=p, lhs=lhs, rhs=(2 - (1 if p % 8 in (1, 7) else -1)) * h,
+                           excluded=p == 3)
             for p, lhs, h in zip(primes.tolist(), sums.tolist(), class_numbers.tolist())]

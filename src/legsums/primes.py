@@ -1,4 +1,4 @@
-"""Prime generation and quadratic-symbol primitives.
+"""Prime generation.
 
 Everything here is pure and immutable after construction, so it is safe to
 share between threads without locking (the lazily grown module-level sieve
@@ -17,7 +17,6 @@ __all__ = [
     "first_primes",
     "primes_up_to",
     "is_prime",
-    "jacobi",
 ]
 
 
@@ -89,25 +88,3 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
-
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 1, by binary reciprocity.
-
-    Coincides with the Legendre symbol when n is an odd prime; fully
-    multiplicative in both arguments; 0 iff gcd(a, n) > 1.
-    """
-    if n <= 0 or n % 2 == 0:
-        raise ValueError(f"Jacobi symbol needs positive odd n, got {n}")
-    a %= n
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from legsums.primes import jacobi, primes_up_to
+from legsums.primes import primes_up_to
 from legsums.randmodel import (
     CharTable,
     CoefficientSpec,
@@ -16,6 +16,28 @@ from legsums.randmodel import (
     decompose_rational,
     prime_sign_matrix,
 )
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n >= 1, by binary reciprocity.
+
+    Coincides with the Legendre symbol when n is an odd prime; fully
+    multiplicative in both arguments; 0 iff gcd(a, n) > 1.
+    """
+    if n <= 0 or n % 2 == 0:
+        raise ValueError(f"Jacobi symbol needs positive odd n, got {n}")
+    a %= n
+    result = 1
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def prime_sign(seed: int, p: int) -> int:

@@ -19,10 +19,11 @@ import pytest
 
 from legsums.charsum import density_scan, dirichlet_checks, legendre_sum
 from legsums.randmodel import fourier_partial
-from legsums.primes import jacobi, primes_up_to
+from legsums.primes import primes_up_to
 from legsums import randmodel as rm
 from legsums import tails
-from reference import CHI_0_5, class_number_h, gauss_sum, log_euler_identity, prime_sign, x_of
+from reference import (CHI_0_5, class_number_h, gauss_sum, jacobi, log_euler_identity,
+                       prime_sign, x_of)
 
 INV_2PI = 0.15915494309189535
 INV_E = 0.36787944117144233

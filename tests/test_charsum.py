@@ -24,8 +24,8 @@ from legsums.charsum import (
     parse_alpha,
 )
 from legsums.cli import main
-from legsums.primes import first_primes, jacobi, primes_up_to
-from reference import class_number_h
+from legsums.primes import first_primes, primes_up_to
+from reference import class_number_h, jacobi
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -9,6 +9,7 @@ import pytest
 
 from legsums import randmodel
 from legsums.cli import main
+from test_acceptance import DENSITY_TABLE_1000, DENSITY_TABLE_10000
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -133,12 +134,22 @@ HUGE = str(10**22)
     ["simulate", "--alpha", "1/3", "--evaluator", "series", "--truncation", HUGE],
     ["moments", "--alpha", "1/3", "--parity", "minus", "--truncation", HUGE],
     ["fourier-check", "--alpha", "1/3", "--p", "101", "--truncation", HUGE],
+    ["positivity-table", "--samples", HUGE],
+    ["positivity-table", "--prime-cutoff", HUGE],
+    ["certification-chain", "--prime-cutoff", HUGE],
 ], ids=["density-primes", "dirichlet-max-p", "simulate-samples", "simulate-prime-cutoff",
-        "simulate-series-truncation", "moments-truncation", "fourier-check-truncation"])
+        "simulate-series-truncation", "moments-truncation", "fourier-check-truncation",
+        "positivity-table-samples", "positivity-table-prime-cutoff",
+        "certification-chain-prime-cutoff"])
 def test_size_numpy_cannot_index_is_a_usage_error(capsys, argv):
-    # 10^22 is past int64 and past numpy's dimension limit, so numpy refuses
-    # it before it allocates anything
-    _assert_one_error_line(capsys, main(argv))
+    # 10^22 is past int64, where numpy indexes nothing: argparse refuses it
+    # before any work and names the flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: " in captured.err and repr(HUGE) in captured.err
 
 
 def test_refused_allocation_is_a_usage_error(monkeypatch, capsys):
@@ -279,11 +290,17 @@ def test_bad_numeric_input_exits_2(capsys, argv):
     (["dirichlet", "--max-p", "2", "--all"], "--max-p", "2"),
     (["dirichlet", "--max-p", "0"], "--max-p", "0"),
     (["dirichlet", "--max-p", "-5"], "--max-p", "-5"),
+    (["positivity-table", "--samples", "0"], "--samples", "0"),
+    (["positivity-table", "--prime-cutoff", "1"], "--prime-cutoff", "1"),
+    (["positivity-table", "--samples", str(2**63)], "--samples", str(2**63)),
+    (["certification-chain", "--prime-cutoff", "50"], "--prime-cutoff", "50"),
 ], ids=["density-1/0", "simulate-1/0", "moments-1/0", "certify-abc", "decompose-1/0",
         "fourier-truncation0", "density-alpha1.5", "density-primes0",
         "simulate-prime-cutoff0", "simulate-prime-cutoff1", "moments-alpha2",
         "simulate-series-alpha1.5", "certify-alpha5", "dirichlet-max-p2",
-        "dirichlet-max-p0", "dirichlet-max-p-5"])
+        "dirichlet-max-p0", "dirichlet-max-p-5", "positivity-table-samples0",
+        "positivity-table-prime-cutoff1", "positivity-table-samples-2^63",
+        "certification-chain-prime-cutoff50"])
 def test_bad_argument_is_a_usage_error(capsys, argv, flag, bad):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -481,3 +498,48 @@ def test_seeds_past_int64_are_distinct_samples(capsys):
     simulate = ("simulate", "--alpha", "1/3", "--samples", "3", "--truncation", "1000", "--seed")
     assert run(capsys, *simulate, str(2**64 - 1)) == run(capsys, *simulate, "-1")
     assert run(capsys, *simulate, str(-(2**63) - 1))[0] == 0
+
+
+def test_help_lists_the_report_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in ("density-table", "positivity-table", "certification-chain"))
+
+
+def test_density_table_matches_pinned_counts(capsys):
+    code, out = run(capsys, "density-table")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["alpha", "primes", "nonneg", "strict", "1mod4", "3mod4"]
+    counts = {(label, int(n)): int(nonneg) for label, n, nonneg, *_ in map(str.split, lines[1:])}
+    assert len(counts) == 10
+    for size, table in ((1000, DENSITY_TABLE_1000), (10000, DENSITY_TABLE_10000)):
+        labels = ["2/5", "3/8", "1/12", "1/(2pi)", "1/e"]
+        assert [counts[label, size] for label in labels] == [count for _, count in table]
+
+
+def test_positivity_table_agrees_with_simulate(capsys):
+    code, out = run(capsys, "positivity-table", "--samples", "300", "--seed", "7")
+    assert code == 0
+    rows = {row[0]: row[1:] for row in map(str.split, out.splitlines()[1:])}
+    assert list(rows) == [str(alpha) for alpha in randmodel.SUPPORTED_ALPHAS]
+    # simulate's Euler evaluator at the same samples, seed and cutoff
+    _, sim = run(capsys, "simulate", "--alpha", "1/5", "--samples", "300", "--seed", "7",
+                 "--format", "json")
+    plus, minus, combined = json.loads(sim)
+    expected = [plus["strict_fraction"], plus["nonneg_fraction"], minus["strict_fraction"],
+                minus["nonneg_fraction"], combined["nonneg_fraction"]]
+    assert rows["1/5"] == [f"{x:.4f}" for x in expected]
+
+
+def test_certification_chain_small_cutoff_fails_with_exit_1(capsys):
+    # below 1340 the partial sum plus its tail is not below sigma2 = 0.395
+    code = main(["certification-chain", "--prime-cutoff", "1000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: variance bound violated")
+

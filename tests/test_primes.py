@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from legsums.primes import (
-    first_primes,
-    is_prime,
-    jacobi,
-    primes_up_to,
-    sieve_primes,
-)
-from reference import kronecker_chi
+from legsums.primes import first_primes, is_prime, primes_up_to, sieve_primes
+from reference import jacobi, kronecker_chi
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ODD_PRIMES = [p for p in primes_up_to(500).tolist() if p > 2]

@@ -34,6 +34,21 @@ def _read_names(node, skip=()) -> set[str]:
     return names
 
 
+def test_scripts_are_shims_over_the_cli():
+    # a script forwards its arguments to cli.main, which parses them and
+    # owns the exit path, so no script parses or computes anything itself
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        text = path.read_text()
+        nodes = list(ast.walk(ast.parse(text)))
+        imported = {alias.name for node in nodes if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+        assert "argparse" not in imported, path.name
+        assert not any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                         ast.ClassDef)) for node in nodes), path.name
+        assert len(text.splitlines()) <= 5, path.name
+
+
 def test_every_library_definition_is_used_outside_the_tests():
     statements = [(path, stmt) for path in PROGRAM for stmt in ast.parse(path.read_text()).body]
     reads = [_read_names(stmt) for _, stmt in statements]
