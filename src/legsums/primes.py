@@ -53,7 +53,8 @@ def _grown_to(limit: int) -> tuple[int, np.ndarray]:
 
 
 def _nth_prime_bound(n: int) -> int:
-    """Upper bound for the n-th prime (Rosser-type, valid for n >= 6)."""
+    """An upper bound for the n-th prime: Rosser's p_n < n (ln n + ln ln n)
+    for n >= 6, and 13 below, so one sieve to it holds the first n primes."""
     if n < 6:
         return 13
     x = float(n)
@@ -64,10 +65,7 @@ def first_primes(n: int) -> np.ndarray:
     """Array of the first n primes."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    limit, primes = _grown_to(_nth_prime_bound(n))
-    while len(primes) < n:
-        limit, primes = _grown_to(limit * 2)
-    return primes[:n]
+    return _grown_to(_nth_prime_bound(n))[1][:n]
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -77,14 +75,23 @@ def primes_up_to(limit: int) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check by trial division."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
+    """Deterministic Miller-Rabin with the first 13 primes as bases, which
+    is exact below psi_13 = 3317044064679887385961981 (Sorenson and
+    Webster, Math. Comp. 2017).  Raises ValueError at or above psi_13."""
+    if n >= 3317044064679887385961981:
+        raise ValueError(f"is_prime is exact only below 3317044064679887385961981, got {n}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # a strong probable prime has x = -1 at some a^(2^r d), r < s
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
     return True

@@ -417,45 +417,48 @@ def _index_dtype(N: int) -> type:
 
 
 def _kernel_layout(N: int) -> _KernelLayout:
-    """The layout of the squarefree d <= N.  Each table over 0 .. N is in
-    _index_dtype(N) (omega in uint8) and is dropped before the next is
-    made: at N = 10^6 the call peaks at 23.5 MiB under tracemalloc (88.4
-    with int64 tables) and keeps 15.6 MiB."""
+    """The layout of the squarefree d <= N, built in the order of its rows.
+
+    A smooth d > 1 is p r with p = spf(d), where r = d / p has one prime
+    factor fewer and none below p.  So each level in omega comes from the
+    level before: each r times every small prime below spf(r) that keeps
+    the product <= N, whose spf and rest rows are known as it is made, the
+    level then sorted by d.  The m Q rows follow, m by m in increasing
+    order, Q over the primes in (sqrt(N), N / m].  The only tables over
+    0 .. N are row_of (first the row of each kernel, then gathered through
+    squarefree_core's table), all in _index_dtype(N): at N = 10^6 the call
+    peaks at 22.4 MiB under tracemalloc and keeps 15.6 MiB."""
     dtype = _index_dtype(N)
-    core = squarefree_core(N)
-    kernels = np.flatnonzero(core == np.arange(N + 1, dtype=dtype))[1:].astype(dtype)
-    small = primes_up_to(math.isqrt(N))
-    # m of a squarefree n, and its prime factors up to sqrt(N): omega(n) for
-    # the smooth n, the only rows ordered by omega
-    smooth_part = np.ones(N + 1, dtype=dtype)
-    small_factors = np.zeros(N + 1, dtype=np.uint8)
-    for p in small.tolist():
-        smooth_part[p::p] *= p
-        small_factors[p::p] += 1
-    m, omega = smooth_part[kernels], small_factors[kernels]
-    del smooth_part, small_factors
-    large = kernels // m
-    order = np.lexsort((kernels, np.where(large == 1, omega, m), large > 1))
-    d = kernels[order]
-    del kernels
-    m, large, omega = m[order], large[order], omega[order]
-    del order
-    smooth = int(np.count_nonzero(large == 1))
-    ds = d[:smooth]
-    spf = np.arange(N + 1, dtype=dtype)
-    for p in small[::-1].tolist():
-        spf[p * p :: p] = p
-    spf = spf[ds]
-    row = np.zeros(N + 1, dtype=dtype)
-    row[d] = np.arange(len(d), dtype=dtype)
-    row_of = row[core]
-    del core
-    # first row of each level 0 .. top + 1, with a level 1 even when N < 2
-    top = max(int(omega[:smooth].max()), 1)
-    bounds = np.searchsorted(omega[:smooth], np.arange(top + 2)).tolist()
-    starts = smooth + np.flatnonzero(np.diff(m[smooth:], prepend=0))
-    m_rows = row[m[starts]].astype(np.intp)
-    runs = np.diff(np.append(starts, len(d)))
+    primes = primes_up_to(N)
+    small = primes_up_to(math.isqrt(N)).astype(dtype)
+    # per level in omega: its d in increasing order, and the rows of spf(d) and d / spf(d)
+    levels = [(np.ones(1, dtype), np.zeros(1, np.intp), np.zeros(1, np.intp))]
+    levels.append((small, np.arange(1, len(small) + 1), np.zeros(len(small), np.intp)))
+    first = 1  # the row of the first r
+    while len(levels[-1][0]):  # until a level comes out empty
+        r, spf_row, _ = levels[-1]
+        counts = np.minimum(spf_row - 1, np.searchsorted(small, N // r, side="right"))
+        owner = np.repeat(np.arange(len(r)), counts)
+        p = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]  # index in small
+        d = small[p] * r[owner]
+        order = np.argsort(d)
+        levels.append((d[order], p[order] + 1, owner[order] + first))
+        first += len(r)
+    bounds = np.cumsum([0] + [len(level[0]) for level in levels]).tolist()  # the last level is empty
+    ds, spf_row, rest_row = (np.concatenate(tables) for tables in zip(*levels))
+    smooth = len(ds)
+    # the Q of each m are a prefix of the large primes, shorter as m grows
+    large_primes = primes[len(small) :].astype(dtype)
+    m_rows = np.argsort(ds)
+    runs = np.searchsorted(large_primes, N // ds[m_rows], side="right")
+    m_rows, runs = m_rows[runs > 0], runs[runs > 0]
+    q_runs = [large_primes[:run] for run in runs.tolist()]
+    kernels = np.concatenate([ds, *(m * q for m, q in zip(ds[m_rows].tolist(), q_runs))])
+    large = np.concatenate([np.ones(smooth, dtype), *q_runs])
+    row_of = np.zeros(N + 1, dtype=dtype)  # the row of each kernel, then of each core(n)
+    row_of[kernels] = np.arange(len(kernels), dtype=dtype)
+    row_of = row_of[squarefree_core(N)]
+    starts = smooth + np.cumsum(runs) - runs
     groups = []
     while len(starts):
         k = np.count_nonzero(2 * runs >= runs[0])
@@ -463,14 +466,14 @@ def _kernel_layout(N: int) -> _KernelLayout:
         groups.append(np.where(j < runs[:k], starts[:k] + j, -1))
         starts, runs = starts[k:], runs[k:]
     return _KernelLayout(
-        kernels=d,
+        kernels=kernels,
         large=large,
-        primes=primes_up_to(N),
+        primes=primes,
         small=len(small),
         smooth=smooth,
-        spf_row=row[spf].astype(np.intp),
-        rest_row=row[ds // spf].astype(np.intp),
-        levels=tuple(zip(bounds[2:-1], bounds[3:])),
+        spf_row=spf_row,
+        rest_row=rest_row,
+        levels=tuple(zip(bounds[2:-2], bounds[3:-1])),
         m_rows=m_rows,
         groups=tuple(groups),
         row_of=row_of,

@@ -109,8 +109,9 @@ def sigma2_one_third(prime_cutoff: int = 1_000_000) -> tuple[float, float, float
 
 @dataclass(frozen=True)
 class ZetaRatioReport:
-    """The constant, and N, the length to which the partial sums of its
-    Dirichlet series check it."""
+    """The constant zeta(4/3)^3 / zeta(8/3), from mpmath, and N as the
+    caller gave it: no partial sum of the Dirichlet series is computed
+    here, so N only names the length to which a caller may check one."""
 
     N: int
     ratio: float          # zeta(4/3)^3 / zeta(8/3)

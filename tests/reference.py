@@ -62,6 +62,18 @@ def x_of(n: int, sign_of) -> int:
     return sign * sign_of(n) if n > 1 else sign
 
 
+def prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1 with multiplicity, in increasing order,
+    by trial division."""
+    factors, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            factors.append(p)
+            n //= p
+        p += 1
+    return factors + [n] if n > 1 else factors
+
+
 # --------------------------------------------------------------------------
 # the decomposition rows typed by hand, the oracle for decompose_rational
 

@@ -320,6 +320,17 @@ def test_fourier_check_composite_p_exits_2(capsys):
     assert "needs a prime, got 100" in lines[0]
 
 
+def test_fourier_check_huge_prime_is_refused_at_once():
+    # p = 2^61 - 1 is prime; trial division up to sqrt(p) ran for minutes
+    # before the p-sized table was refused
+    argv = ["fourier-check", "--alpha", "1/3", "--p", str(2**61 - 1), "--truncation", "10"]
+    proc = subprocess.run([sys.executable, "-m", "legsums.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("legsums: error: ")
+
+
 def test_fourier_check_boundary_is_exact_for_floats(capsys):
     # the float nearest 1/3 sits just above it, so 3 alpha is not an integer
     code, out = run(capsys, "fourier-check", "--alpha", "0.33333333333333337", "--p", "3",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from legsums import primes as primes_mod
 from legsums.primes import first_primes, is_prime, primes_up_to, sieve_primes
 from reference import jacobi, kronecker_chi
 
@@ -61,9 +62,38 @@ def test_primes_up_to_boundary_inclusive():
 
 
 def test_is_prime_agrees_with_sieve():
-    mask = {int(p) for p in primes_up_to(2000)}
-    for n in range(2000):
+    N = 2 * 10**5
+    mask = set(sieve_primes(N).tolist())
+    for n in range(N + 1):
         assert is_prime(n) == (n in mask)
+
+
+@pytest.mark.parametrize("n", [
+    561,  # a Carmichael number
+    3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,  # a strong pseudoprime to the bases 2 .. 31
+    318665857834031151167461,  # 399165290221 * 798330580441, strong to 2 .. 37: only 41 tells
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_is_exact_below_psi_13_only():
+    psi_13 = 3317044064679887385961981  # the first strong pseudoprime to 2 .. 41
+    assert is_prime(2**61 - 1)
+    assert is_prime(3317044064679887385961813)  # the largest prime below psi_13
+    for n in (psi_13, 2**89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
+
+
+def test_nth_prime_bound_needs_one_sieve():
+    # first_primes sieves once, to the bound: the bound is never below p_n
+    N = 2 * 10**5
+    primes = sieve_primes(primes_mod._nth_prime_bound(N))
+    assert len(primes) >= N
+    for n in range(1, N + 1):
+        assert primes[n - 1] <= primes_mod._nth_prime_bound(n)
 
 
 def test_jacobi_matches_legendre_by_squares():

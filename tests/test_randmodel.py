@@ -23,7 +23,14 @@ from legsums.randmodel import (
     xi_statistics,
 )
 import reference
-from reference import decomposition_coefficients, hand_decomposition, period_lcm, prime_sign, x_of
+from reference import (
+    decomposition_coefficients,
+    hand_decomposition,
+    period_lcm,
+    prime_factors,
+    prime_sign,
+    x_of,
+)
 
 SUPPORTED = [(alpha, parity) for alpha in rm.SUPPORTED_ALPHAS for parity in ("plus", "minus")]
 
@@ -528,6 +535,51 @@ def test_fold_adds_in_the_order_of_one_bincount(monkeypatch, chunk):
         whole = np.bincount(layout.row_of[1:], weights=cols[:, c] / n, minlength=len(layout.kernels))
         assert weights[:-1, c].tobytes() == whole.tobytes()
     assert not weights[-1].any()  # the row that row -1 of a group reads
+
+
+@functools.cache
+def _factor_table(N):
+    return {n: prime_factors(n) for n in range(1, N + 1)}
+
+
+@pytest.mark.parametrize("N", [*range(1, 301), 1000, 10**4])
+def test_kernel_layout_rows_follow_their_factorisations(N):
+    layout = rm._kernel_layout(N)
+    root = math.isqrt(N)
+    factors = {n: f for n, f in _factor_table(10**4).items() if n <= N}
+    squarefree = [n for n, f in factors.items() if len(set(f)) == len(f)]
+    d, large = layout.kernels.tolist(), layout.large.tolist()
+    assert sorted(d) == squarefree
+    row = {k: r for r, k in enumerate(d)}
+    # the smooth rows, by (omega, d), then the m Q rows, by (m, Q)
+    smooth = [k for k in squarefree if all(p <= root for p in factors[k])]
+    assert d[: layout.smooth] == sorted(smooth, key=lambda k: (len(factors[k]), k))
+    assert layout.small == len(primes_up_to(root))
+    omega = [len(factors[k]) for k in smooth]
+    bounds = [omega.count(w) for w in range(max(omega) + 1)]
+    starts = list(itertools.accumulate(bounds, initial=0))
+    assert layout.levels == tuple(zip(starts[2:-1], starts[3:]))
+    for r, k in enumerate(d[: layout.smooth]):
+        spf = factors[k][0] if k > 1 else 1
+        assert (d[layout.spf_row[r]], d[layout.rest_row[r]]) == (spf, k // spf)
+    assert large == [factors[k][-1] if k > 1 and factors[k][-1] > root else 1 for k in d]
+    mq = [(k // q, q) for k, q in zip(d[layout.smooth :], large[layout.smooth :])]
+    assert mq == sorted(mq) and all(q > 1 for _, q in mq)
+    ms = sorted({m for m, _ in mq})
+    assert [d[r] for r in layout.m_rows] == ms
+    # a group is the m after its first whose runs are at least half as long
+    runs = [sum(1 for m, _ in mq if m == mi) for mi in ms]
+    big = [p for p in primes_up_to(N).tolist() if p > root]
+    groups, i = [], 0
+    while i < len(ms):
+        k = next((j for j in range(i, len(ms)) if 2 * runs[j] < runs[i]), len(ms)) - i
+        groups.append([[row[ms[i + c] * big[j]] if j < runs[i + c] else -1 for c in range(k)]
+                       for j in range(runs[i])])
+        i += k
+    assert [g.tolist() for g in layout.groups] == groups
+    for n in range(1, N + 1):
+        core = math.prod(p for p in set(factors[n]) if factors[n].count(p) % 2)
+        assert layout.row_of[n] == row[core]
 
 
 def test_kernel_layout_dtypes():
