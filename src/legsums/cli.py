@@ -217,7 +217,7 @@ def _cmd_certify(args) -> tuple[str, int]:
 
 def _cmd_constants(args) -> tuple[str, int]:
     partial, tail, total = tails.sigma2_one_third(10**5)
-    zr = tails.zeta_ratio_check(10**5)
+    zr = tails.zeta_ratio_check()
     xi = randmodel.xi_statistics(10**5)
     d1 = tails.distance_bound(2 * math.pi, 1, 1)
     delta = 2e-6
@@ -284,7 +284,7 @@ def _cmd_certification_chain(args) -> tuple[str, int | str]:
         partial, tail, total = tails.sigma2_one_third(args.prime_cutoff)
     except ArithmeticError as exc:  # the cutoff is too small to certify the bound
         return "", f"error: {exc}"
-    zr = tails.zeta_ratio_check(10**5)
+    zr = tails.zeta_ratio_check()
     lines = [
         f"sigma^2 partial {partial:.6f} + tail {tail:.2e} = {total:.6f} "
         f"(< {tails.SIGMA2}: {total < tails.SIGMA2})",

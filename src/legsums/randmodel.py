@@ -672,7 +672,6 @@ def estimate_positivity(
 @dataclass(frozen=True)
 class XiStatistics:
     variance: float
-    variance_tail_bound: float
     phi: float
     chebyshev_bound: float
 
@@ -687,14 +686,12 @@ def xi_statistics(prime_cutoff: int = 1_000_000) -> XiStatistics:
     primes = primes_up_to(prime_cutoff)
     sel = primes[np.isin(primes % 5, (2, 3))]
     variance = float(np.sum(np.arctan(1.0 / sel) ** 2))
-    tail = 1.0 / prime_cutoff
     phi = math.atan((math.sqrt(5) - 1) / 2)
     threshold = math.pi / 2 - phi
     return XiStatistics(
         variance=variance,
-        variance_tail_bound=tail,
         phi=phi,
-        chebyshev_bound=(variance + tail) / threshold**2,
+        chebyshev_bound=(variance + 1.0 / prime_cutoff) / threshold**2,
     )
 
 

@@ -233,7 +233,7 @@ def test_criterion_6_chebyshev_bound_below_one_third():
     # The bound the step needs: theta is a sum of independent symmetric
     # terms, so P(theta <= -t) <= V/(2 t^2), and the 1/5 sine series is
     # negative only if theta < -(pi/2 - phi) or theta > pi/2 + phi.
-    V = xi.variance + xi.variance_tail_bound
+    V = xi.variance + 1 / 10**6
     one_sided = V / (2 * (math.pi / 2 - xi.phi) ** 2) + V / (2 * (math.pi / 2 + xi.phi) ** 2)
     assert abs(one_sided - 0.2100) <= 1e-3
     assert one_sided < 1 / 3

@@ -536,6 +536,9 @@ def test_positivity_table_agrees_with_simulate(capsys):
     assert code == 0
     rows = {row[0]: row[1:] for row in map(str.split, out.splitlines()[1:])}
     assert list(rows) == [str(alpha) for alpha in randmodel.SUPPORTED_ALPHAS]
+    for alpha, (plus_strict, plus_nonneg, minus_strict, minus_nonneg, _) in rows.items():
+        assert float(plus_strict) <= float(plus_nonneg), alpha
+        assert float(minus_strict) <= float(minus_nonneg), alpha
     # simulate's Euler evaluator at the same samples, seed and cutoff
     _, sim = run(capsys, "simulate", "--alpha", "1/5", "--samples", "300", "--seed", "7",
                  "--format", "json")
@@ -543,6 +546,13 @@ def test_positivity_table_agrees_with_simulate(capsys):
     expected = [plus["strict_fraction"], plus["nonneg_fraction"], minus["strict_fraction"],
                 minus["nonneg_fraction"], combined["nonneg_fraction"]]
     assert rows["1/5"] == [f"{x:.4f}" for x in expected]
+
+
+def test_certification_chain_marks_the_certified_radius(capsys):
+    code, out = run(capsys, "certification-chain")
+    assert code == 0
+    marked = [line for line in out.splitlines() if line.endswith("<- certified radius")]
+    assert len(marked) == 1 and marked[0].split()[0] == "2.0e-06"
 
 
 def test_certification_chain_small_cutoff_fails_with_exit_1(capsys):

@@ -1,12 +1,13 @@
-"""Every top-level function and class of the package, and every method and
-property of its classes, is used by the program.
+"""Every top-level function and class of the package, every method and
+property of its classes, and every field of its dataclasses is used by the
+program.
 
 A definition that only the tests reach is test code kept in the library:
 the tests compute such checks themselves (helpers shared between test files
 live in tests/reference.py).  A definition counts as used when its name is
-read, as a name or an attribute, somewhere in src/legsums/, scripts/ or
-perfbench/ outside the definition itself.  A read inside a method or
-property counts only once that member is used itself.
+read, as a name or an attribute, somewhere in src/legsums/ or perfbench/
+outside the definition itself.  A read inside a method or property counts
+only once that member is used itself.
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "legsums"
-PROGRAM = [path for folder in (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+PROGRAM = [path for folder in (PACKAGE, ROOT / "perfbench")
            for path in sorted(folder.glob("*.py"))]
 
 
@@ -32,21 +33,6 @@ def _read_names(node, skip=()) -> set[str]:
             names.add(sub.attr)
         stack.extend(ast.iter_child_nodes(sub))
     return names
-
-
-def test_scripts_are_shims_over_the_cli():
-    # a script forwards its arguments to cli.main, which parses them and
-    # owns the exit path, so no script parses or computes anything itself
-    for path in sorted((ROOT / "scripts").glob("*.py")):
-        text = path.read_text()
-        nodes = list(ast.walk(ast.parse(text)))
-        imported = {alias.name for node in nodes if isinstance(node, ast.Import)
-                    for alias in node.names}
-        imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
-        assert "argparse" not in imported, path.name
-        assert not any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-                                         ast.ClassDef)) for node in nodes), path.name
-        assert len(text.splitlines()) <= 5, path.name
 
 
 def test_every_library_definition_is_used_outside_the_tests():
@@ -83,3 +69,38 @@ def test_every_member_of_a_library_class_is_used_outside_the_tests():
     unused = [f"{path.relative_to(ROOT)}:{member.lineno} {member.name}"
               for i, (path, member) in enumerate(members) if i not in used]
     assert not unused, "a package class member used only by tests:\n" + "\n".join(unused)
+
+
+def _name(node) -> str | None:
+    """The last name of a dotted name such as dataclasses.asdict."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_every_field_of_a_library_dataclass_is_read_by_the_program():
+    trees = {path: ast.parse(path.read_text()) for path in PROGRAM}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    read = {node.attr for node in nodes
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    # A record printed whole has every field read: in a program function,
+    # dataclasses.asdict(name) where name was assigned the result of a call
+    # to a package function whose return annotation is the record's class.
+    returns = {node.name: _name(node.returns) for node in nodes
+               if isinstance(node, ast.FunctionDef)}
+    whole = set()
+    for func in (node for node in nodes if isinstance(node, ast.FunctionDef)):
+        body = list(ast.walk(func))
+        bound = {stmt.targets[0].id: returns.get(_name(stmt.value.func))
+                 for stmt in body if isinstance(stmt, ast.Assign)
+                 and isinstance(stmt.targets[0], ast.Name) and isinstance(stmt.value, ast.Call)}
+        whole |= {bound.get(call.args[0].id) for call in body
+                  if isinstance(call, ast.Call) and _name(call.func) == "asdict"
+                  and call.args and isinstance(call.args[0], ast.Name)}
+    unused = [
+        f"{path.relative_to(ROOT)}:{field.lineno} {cls.name}.{field.target.id}"
+        for path, tree in trees.items() if path.parent == PACKAGE
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name not in whole
+        and any("dataclass" in ast.unparse(dec) for dec in cls.decorator_list)
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and field.target.id not in read
+    ]
+    assert not unused, "a package dataclass field read only by tests:\n" + "\n".join(unused)
