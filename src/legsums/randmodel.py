@@ -715,11 +715,13 @@ def _kernel_weights(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Returns the kernels d with w_d != 0 in increasing order, their w_d, w
     indexed by d up to the largest kernel, and the prime factor above
-    sqrt(N) of each of those kernels (1 if it has none).
+    sqrt(N) of each of those kernels (1 if it has none).  The kernels keep
+    the layout's dtype, int32 below N = 2^31, whose gcds in
+    _block_convolution take about 70 ns against 88 for int64.
     """
     layout = _kernel_layout(len(coeffs))
     w = np.bincount(layout.kernels, weights=_fold(coeffs[:, None], layout)[:-1, 0])
-    support = np.flatnonzero(w)
+    support = np.flatnonzero(w).astype(layout.kernels.dtype)
     return support, w[support], w, layout.large[layout.row_of[support]]
 
 
@@ -747,10 +749,10 @@ def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
     Only the pairs inside one group are enumerated, and never all of them
     at once: _xor_convolution reduces them in blocks of about _XOR_BLOCK
     pairs whose keys no other block reaches.  At N = 10^4, 1/3 minus, the
-    920 smooth kernels have 423,660 pairs (8 blocks) and the 1204 groups
-    Q > 1 have 22,202 (1 block); the call takes about 0.1 s with a 3.7 MB
-    tracemalloc peak.  At N = 3*10^4, 1/4 plus, the 4110 smooth kernels have
-    8.4M pairs (256 blocks): about 1.7 s and 6.6 MB.
+    920 smooth kernels have 423,660 pairs (32 blocks) and the 1204 groups
+    Q > 1 have 22,202 (2 blocks); the call takes about 0.06 s CPU with a
+    1.4 MiB tracemalloc peak.  At N = 3*10^4, 1/4 plus, the 2684 smooth
+    kernels have 3,603,270 pairs (256 blocks): about 0.45 s and 3.1 MiB.
 
     k = 5, 6 average over the 2^r sign vectors of the r primes <= sqrt(N)
     (_cube_moments), so their cost doubles with each such prime: about 8 s
@@ -788,8 +790,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 #: pairs per block of the xor convolution; a block's indices, keys, values
-#: and their sort take about 70 bytes a pair, whatever N
-_XOR_BLOCK = 1 << 16
+#: and their sort take about 70 bytes a pair, whatever N, so 2^14 pairs
+#: (1.1 MB) stay inside a 2 MB L2 cache
+_XOR_BLOCK = 1 << 14
 
 
 def _xor_convolution(
@@ -808,8 +811,10 @@ def _xor_convolution(
     among the primes has i mod r = b.  sig is additive under the xor
     product, sig(u*v/gcd(u,v)^2) = sig(u) ^ sig(v), so the keys of the
     pairs with sig(u) ^ sig(v) = s all have signature s, and the 2^r
-    blocks, one per s, come out of near equal size.  Another block size
-    moves the results by a few ulp at most (the per-key sums' order).
+    blocks, one per s, come out of near equal size at N = 10^4 (the largest
+    1.3 times the mean), less so as N grows (10 times at N = 10^5, 1/3
+    minus).  Another block size moves the results by a few ulp at most (the
+    per-key sums' order).
     """
     order = np.argsort(large, kind="stable")  # by Q, then by d
     m, w, large = support[order] // large[order], weights[order], large[order]
@@ -833,10 +838,12 @@ def _xor_convolution(
     third.append(3 * _dot(w_full, C))
     fourth.append(3 * _dot(C, C))
     # the smooth group: r is the least for which the blocks average at most
-    # _XOR_BLOCK pairs, but there are no more blocks than smooth kernels
+    # _XOR_BLOCK pairs, but 2^r <= smooth / 4, so that they average at least
+    # 2 * smooth pairs: each block also builds partner, lo and hi over every
+    # smooth kernel
     d, w = m[:smooth], w[:smooth]
     pairs = smooth * (smooth + 1) // 2
-    r = min((max(pairs - 1, 0) // _XOR_BLOCK).bit_length(), max(smooth.bit_length() - 1, 0))
+    r = min((max(pairs - 1, 0) // _XOR_BLOCK).bit_length(), max(smooth.bit_length() - 3, 0))
     sig = np.zeros(smooth, dtype=np.int64)
     if r:  # sig is additive on any set of primes; these hold every prime
         # of a smooth kernel when the largest kernel is near N

@@ -10,16 +10,26 @@ remove it again; nothing runs the workloads themselves.
 import inspect
 import logging
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from legsums import charsum, cli, primes, randmodel, tails
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = (charsum, cli, primes, randmodel, tails)
-#: every argument the count hooks and span names read, across all workloads
-READ_ARGUMENTS = {"support", "N", "k", "num_primes", "decomp", "prime_cutoff", "limit"}
+#: every argument the count hooks and span names read, across all workloads,
+#: by the function they wrap
+READ_ARGUMENTS = {
+    "sieve_primes": {"limit"},
+    "density_scan": {"num_primes"},
+    "sample_series_matrix": {"N"},
+    "euler_values_matrix": {"decomp", "prime_cutoff"},
+    "_xor_convolution": {"support"},
+    "moment_direct": {"k"},
+}
 
 
 @pytest.fixture
@@ -75,11 +85,26 @@ def test_count_hooks_read_parameters_of_the_wrapped_functions(perfbench, monkeyp
         tracer = tracing.Tracer()
         workload(0).trace(tracer)
         tracer.unwrap()
-    read = set()
+    read = {}
     for fn, span, count in wrapped:
         parameters = inspect.signature(fn).parameters
         for hook in (h for h in (span, count) if callable(h)):
             names = _read_arguments(hook)
             assert names <= set(parameters), (fn.__qualname__, hook.__name__, names)
-            read |= names
+            if names:
+                read.setdefault(fn.__name__, set()).update(names)
     assert read == READ_ARGUMENTS
+
+
+def test_kernel_support_counter_reads_the_support(perfbench):
+    # moments' count hook takes the first result of _kernel_weights as the
+    # support: the squarefree kernels with a nonzero weight
+    tracing, workloads = perfbench
+    c = randmodel.CoefficientSpec("minus", Fraction(1, 3)).coefficients(1000)
+    result = randmodel._kernel_weights(c)
+    support, weights, w_full = result[:3]
+    assert np.array_equal(randmodel.squarefree_core(1000)[support], support)
+    assert np.array_equal(support, np.flatnonzero(w_full)) and np.all(weights == w_full[support])
+    tracer = tracing.Tracer()
+    workloads._count_kernels(tracer, None, result)
+    assert tracer.maxima["randmodel.kernel_support"] == len(support)

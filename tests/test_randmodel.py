@@ -1012,25 +1012,58 @@ def test_moment_bundle_memory_at_the_moments_defaults():
 
 
 def test_moment_bundle_memory_does_not_follow_the_smooth_pairs():
-    # 8.4M smooth pairs at N = 3*10^4; holding them at once peaked at 461 MB
+    # 3.6M smooth pairs at N = 3*10^4; holding them at once peaked at 143 MiB
     assert _moment_bundle_peak(Fraction(1, 4), "plus", 3 * 10**4) < 64 * 2**20
 
 
+def _xor_blocks(c, block):
+    """moment_bundle(c) at _XOR_BLOCK = block, and for each block of its
+    xor convolution whether it is of the smooth group, with its pairs."""
+    blocks, convolve = [], rm._block_convolution
+
+    def record(d, w, rows, lo, hi, offset=None):
+        blocks.append((offset is None, int(np.sum(hi - lo))))
+        return convolve(d, w, rows, lo, hi, offset)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rm, "_XOR_BLOCK", block)
+        patch.setattr(rm, "_block_convolution", record)
+        return rm.moment_bundle(c), blocks
+
+
+def _smooth_blocks(c, block):
+    """The smooth group's pairs and its 2^min(ceil(log2(pairs / block)),
+    bit_length(smooth) - 3) blocks, smooth its number of kernels."""
+    smooth = int(np.sum(rm._kernel_weights(c)[3] == 1))
+    pairs = smooth * (smooth + 1) // 2
+    return pairs, 2 ** min(max(math.ceil(math.log2(pairs / block)), 0), smooth.bit_length() - 3)
+
+
+def test_xor_blocks_fit_the_cache_at_the_moments_defaults():
+    c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(10**4)
+    _, blocks = _xor_blocks(c, rm._XOR_BLOCK)
+    pairs, smooth = _smooth_blocks(c, rm._XOR_BLOCK)
+    assert smooth == 32
+    assert [is_smooth for is_smooth, _ in blocks] == [False] * 2 + [True] * smooth
+    assert sum(n for is_smooth, n in blocks if is_smooth) == pairs
+    assert max(n for _, n in blocks) <= 2 * rm._XOR_BLOCK
+
+
 @pytest.mark.parametrize("alpha,parity", [(Fraction(1, 3), "minus"), (Fraction(1, 4), "plus")])
-def test_moment_bundle_does_not_depend_on_the_block_size(monkeypatch, alpha, parity):
-    c = CoefficientSpec(parity, alpha).coefficients(10**4)
-    full = rm.moment_bundle(c)
-    blocks = []
-    convolve = rm._block_convolution
-    monkeypatch.setattr(rm, "_block_convolution", lambda *a: blocks.append(1) or convolve(*a))
-    for block in XOR_BLOCKS + (2**10,):
-        monkeypatch.setattr(rm, "_XOR_BLOCK", block)
-        blocks.clear()
-        part = rm.moment_bundle(c)
-        assert len(blocks) > 512  # the smooth group alone makes 512 or more
+def test_moment_bundle_does_not_depend_on_the_block_size(alpha, parity):
+    # in every case the cap on the smooth group's blocks binds: 2^7 of them
+    # at N = 10^4 and 2^6 (1/3 minus) or 2^5 (1/4 plus) at N = 3000
+    cases = [(10**4, block) for block in XOR_BLOCKS + (2**10,)] + [(3000, 64)]
+    full = {N: rm.moment_bundle(CoefficientSpec(parity, alpha).coefficients(N)) for N in (10**4, 3000)}
+    for N, block in cases:
+        c = CoefficientSpec(parity, alpha).coefficients(N)
+        part, blocks = _xor_blocks(c, block)
+        pairs, smooth = _smooth_blocks(c, block)
+        assert smooth < pairs / block
+        assert sum(is_smooth for is_smooth, _ in blocks) == smooth
         for k in (3, 4):
-            assert part[k] == pytest.approx(full[k], rel=1e-13, abs=0)
-        assert [part[k] for k in (1, 2)] == [full[k] for k in (1, 2)]
+            assert part[k] == pytest.approx(full[N][k], rel=1e-13, abs=0)
+        assert [part[k] for k in (1, 2)] == [full[N][k] for k in (1, 2)]
 
 
 def test_moment_k5_exact_small():
