@@ -1042,9 +1042,9 @@ def _smooth_blocks(c, block):
 def test_xor_blocks_fit_the_cache_at_the_moments_defaults():
     c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(10**4)
     _, blocks = _xor_blocks(c, rm._XOR_BLOCK)
-    pairs, smooth = _smooth_blocks(c, rm._XOR_BLOCK)
-    assert smooth == 32
-    assert [is_smooth for is_smooth, _ in blocks] == [False] * 2 + [True] * smooth
+    pairs, classes = _smooth_blocks(c, rm._XOR_BLOCK)
+    assert classes == 32
+    assert [is_smooth for is_smooth, _ in blocks] == [False] * 2 + [True] * classes
     assert sum(n for is_smooth, n in blocks if is_smooth) == pairs
     assert max(n for _, n in blocks) <= 2 * rm._XOR_BLOCK
 
@@ -1058,9 +1058,9 @@ def test_moment_bundle_does_not_depend_on_the_block_size(alpha, parity):
     for N, block in cases:
         c = CoefficientSpec(parity, alpha).coefficients(N)
         part, blocks = _xor_blocks(c, block)
-        pairs, smooth = _smooth_blocks(c, block)
-        assert smooth < pairs / block
-        assert sum(is_smooth for is_smooth, _ in blocks) == smooth
+        pairs, classes = _smooth_blocks(c, block)
+        assert classes < pairs / block
+        assert sum(is_smooth for is_smooth, _ in blocks) == classes
         for k in (3, 4):
             assert part[k] == pytest.approx(full[N][k], rel=1e-13, abs=0)
         assert [part[k] for k in (1, 2)] == [full[N][k] for k in (1, 2)]
