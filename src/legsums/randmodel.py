@@ -244,11 +244,13 @@ def decompose_rational(alpha: Fraction | float | str, parity: str) -> RationalDe
 # --------------------------------------------------------------------------
 # Euler-product evaluation
 
-#: rows per float64 copy of an int8 block in a product: sample rows of the
-#: Euler sign block (_PRODUCT_ROWS × primes doubles, whatever the sample
-#: count), and rows of the smooth X block or columns of the large-prime
-#: signs in the series sums (_PRODUCT_ROWS × _SERIES_BATCH, whatever N)
-_PRODUCT_ROWS = 1024
+#: bytes of each float64 copy of an int8 block that a product makes: sample
+#: rows of the Euler sign block (_PRODUCT_BYTES // (8 × primes) rows), and
+#: rows of the smooth X block or columns of the large-prime signs in the
+#: series sums (_PRODUCT_BYTES // (8 × _SERIES_BATCH)).  256 KiB stays in
+#: L2 beside the 512 KiB hash scratch; a fixed row count made the Euler
+#: copy grow with the prime cutoff (10 MiB at P = 10^4 for 1024 rows)
+_PRODUCT_BYTES = 1 << 18
 
 #: every dilation of a decomposition divides its denominator, so X_d reads
 #: the signs of the primes up to this alone
@@ -286,10 +288,10 @@ def _euler_memo(
     sign columns (which X_d reads), and the Euler product at the prime
     cutoff of each character mod a supported denominator.
 
-    One pass over the seeds, _PRODUCT_ROWS at a time, fills the products in
-    one fixed order, so a product never depends on which pair asked first;
-    no samples × primes sign block outlives its rows.  Every caller reads
-    the same arrays, so they are read-only.
+    One pass over the seeds, a block of rows at a time (_euler_products),
+    fills the products in one fixed order, so a product never depends on
+    which pair asked first; no samples × primes sign block outlives its
+    rows.  Every caller reads the same arrays, so they are read-only.
     """
     primes = primes_up_to(max(prime_cutoff, _DILATION_LIMIT))
     small = primes_up_to(_DILATION_LIMIT)
@@ -342,8 +344,9 @@ def _euler_products(
     """prod_{p <= P} (1 - chi(p) X_p / p)^{-1} per sample for each
     character: float64 for a character real at every prime, else complex.
     rows(start, stop) gives the int8 sign rows start .. stop-1 on the given
-    primes, asked for _PRODUCT_ROWS rows at a time, so one block's float64
-    copy is made at a time.
+    primes, asked for _PRODUCT_BYTES // (8 × primes) rows at a time (195 at
+    P = 1000, 26 at 10^4), so one block's float64 copy of _PRODUCT_BYTES is
+    made at a time.
 
     As X_p = ±1, -log(1 - c X_p / p) = e_p + X_p o_p with e_p and o_p its
     even and odd parts in X_p, so each character's log-product is
@@ -358,8 +361,9 @@ def _euler_products(
     columns = np.concatenate([odd.real, odd[imag].imag]).T
     del c, up, down, odd  # characters × primes each, as complex
     logs = np.empty((samples, columns.shape[1]))
-    for r in range(0, samples, _PRODUCT_ROWS):
-        stop = min(r + _PRODUCT_ROWS, samples)
+    R = max(1, _PRODUCT_BYTES // (8 * len(primes)))
+    for r in range(0, samples, R):
+        stop = min(r + R, samples)
         logs[r:stop] = rows(r, stop) @ columns
     products = []
     for j in range(len(chis)):
@@ -531,10 +535,11 @@ def _series_weights(
     return weights[: layout.smooth], blocks
 
 
-#: samples per sign block of sample_series_matrix: of 32 .. 512, 128 to 256
-#: tie as fastest at N = 10^4 and 64 to 192 at 10^5; the int8 smooth block
-#: (about 0.15 N × 128 bytes) and its level gathers stay in cache, and
-#: memory does not grow with samples
+#: samples per sign block of sample_series_matrix, and the width of the
+#: series sums' product blocks (_PRODUCT_BYTES // (8 × 128) = 256 rows): of
+#: 32 .. 512, 128 to 256 tie as fastest at N = 10^4 and 128 to 192 at 10^5
+#: (one BLAS thread); the int8 smooth block takes about 0.15 N × 128 bytes,
+#: and memory does not grow with samples
 _SERIES_BATCH = 128
 
 
@@ -551,7 +556,9 @@ def _series_sum(
     """
     smooth_weights, blocks = weights
     x = _kernel_signs(signs, layout)
-    R = _PRODUCT_ROWS
+    # from the full batch width, so that a shorter last batch sums its seeds
+    # in the same blocks
+    R = max(1, _PRODUCT_BYTES // (8 * _SERIES_BATCH))
     acc = np.zeros((smooth_weights.shape[1], len(signs)))
     for r in range(0, len(x), R):
         acc += smooth_weights[r : r + R].T @ x[r : r + R].astype(np.float64)
@@ -755,10 +762,10 @@ def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
     kernels have 3,603,270 pairs (256 blocks): about 0.45 s and 3.1 MiB.
 
     k = 5, 6 average over the 2^r sign vectors of the r primes <= sqrt(N)
-    (_cube_moments), so their cost doubles with each such prime: about 8 s
-    and a 42 MB tracemalloc peak at N = 10^4 (r = 25).  r is capped at
-    _CUBE_PRIMES: kmax >= 5 raises ValueError for N >= 11449 before any
-    work.
+    (_cube_moments), so their cost doubles with each such prime: about 4 s
+    CPU on one BLAS thread and a 44 MiB tracemalloc peak at N = 10^4
+    (r = 25).  r is capped at _CUBE_PRIMES: kmax >= 5 raises ValueError for
+    N >= 11449 before any work.
     """
     if not 1 <= kmax <= 6:
         raise ValueError(f"kmax must be in 1..6, got {kmax}")
@@ -896,9 +903,10 @@ def _block_convolution(
     return keys[new], np.add.reduceat(vals, new)
 
 
-#: points of the sign cube per chunk of _cube_moments, which holds about a
-#: dozen float64 arrays of that length (a 42 MB tracemalloc peak at
-#: N = 10^4; 2^20 points peak at 168 MB and are no faster)
+#: points of the sign cube per chunk of _cube_moments, which holds about
+#: twenty float64 arrays of that length, the kept wide groups among them (a
+#: 44 MiB tracemalloc peak at N = 10^4; 2^20 points peaked at 168 MB and
+#: were no faster)
 _CUBE_CHUNK = 1 << 18
 
 #: the most primes <= sqrt(N) whose sign vectors _cube_moments walks: 27
@@ -945,8 +953,13 @@ def _cube_moments(
     bit length of its largest mask.  The cube goes in chunks of 2^c points
     b = h 2^c + low.  The groups with s <= c are transformed once on their
     2^s points, where their A_Q^j are summed per s, and every chunk repeats
-    those sums.  A_1 and the wider groups are transformed per chunk, each
-    folded onto the chunk's low bits by the sign of its high bits against h.
+    those sums.  A_1 is transformed per chunk, folded onto the chunk's low
+    bits by the sign of its high bits against h.  A wider group reads only
+    the low s - c bits of h, and h goes in bit-reversed order, so those bits
+    change slowest: the group is transformed 2^(s - c) times and its last
+    A_Q^2 kept (442 transforms of the 10 groups Q = 101 .. 149 at N = 10^4,
+    not 1280).  The chunks' sums go through math.fsum, so their order does
+    not move the result.
     """
     order = np.argsort(large, kind="stable")  # by Q, then by d
     m, w, large = support[order] // large[order], weights[order], large[order]
@@ -972,18 +985,28 @@ def _cube_moments(
         if large[lo] == 1:
             smooth = slice(lo, hi)
         elif s > c:
-            wide.append(slice(lo, hi))
+            wide.append((slice(lo, hi), (1 << (s - c)) - 1))  # its rows and the bits of h it reads
         else:
             v = at(slice(lo, hi), s, 0) ** 2
             narrow[s] = narrow.get(s, 0) + np.stack([v, v * v, v * v * v])
     # B_2, B_4, B_6 of the groups with s <= c, the same in every chunk
     powers = sum((np.tile(p, 1 << (c - s)) for s, p in narrow.items()), np.zeros((3, 1 << c)))
+    del narrow  # up to 6 chunk lengths of stacks, which would sit beside the kept wide groups
     fifth, sixth = [], []
-    for h in range(1 << (r - c)):
+    seen = [(-1, None)] * len(wide)  # per wide group: the bits of h it last read, its A_Q^2 there
+    for i in range(1 << (r - c)):
+        # bit-reversed, so the low bits of h, which the wide groups read, change slowest
+        h = int(f"{i:0{r - c}b}"[::-1], 2)
         a = at(smooth, c, h)
         b2, b4, b6 = powers.copy()
-        for rows in wide:
-            v = at(rows, c, h) ** 2
+        for j, (rows, bits) in enumerate(wide):
+            if seen[j][0] == h & bits:
+                v = seen[j][1]
+            else:
+                seen[j] = -1, None  # the old vector goes before the new one is made
+                v = at(rows, c, h & bits) ** 2
+                if bits < (1 << (r - c)) - 1:  # a group that reads all of h is not read again
+                    seen[j] = h & bits, v
             b2 += v
             v2 = v * v
             b4 += v2

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -414,6 +415,24 @@ def test_moments_output(capsys):
     assert code == 0
     rows = json.loads(out)
     assert all(abs(r["z"]) < 4 for r in rows)
+
+
+def test_moments_statistics_are_numpys(capsys):
+    # mc and mc_se are computed in one reused buffer, bit for bit as numpy's
+    # mean and std(ddof=1) of mc**k
+    N, samples, seed = 300, 777, 5
+    code, out = run(capsys, "moments", "--alpha", "1/3", "--parity", "minus", "--k", "2", "3",
+                    "4", "5", "6", "--truncation", str(N), "--samples", str(samples),
+                    "--seed", str(seed), "--format", "json")
+    assert code == 0
+    c = randmodel.CoefficientSpec("minus", Fraction(1, 3)).coefficients(N)
+    mc = randmodel.sample_series_matrix(c[:, None], N, samples, seed)[:, 0]
+    rows = json.loads(out)
+    assert [row["k"] for row in rows] == [2, 3, 4, 5, 6]
+    for row in rows:
+        powers = mc ** row["k"]
+        assert row["mc"] == float(powers.mean())
+        assert row["mc_se"] == float(powers.std(ddof=1) / math.sqrt(samples))
 
 
 def test_moments_every_order_has_a_z(capsys):

@@ -631,15 +631,60 @@ def test_euler_values_matrix_memory_grows_by_the_int8_block_only():
             tracemalloc.stop()
 
     # the int8 sign rows are hashed and their float64 copy made one
-    # _PRODUCT_ROWS-row block at a time; per sample, the memo keeps 15
-    # products and the sign columns of the primes up to 12 (141 bytes),
-    # and the logs, the values and the term sums take a few hundred bytes
-    # while the call runs.  A samples × primes int8 block alone would take
-    # len(primes) bytes per sample.
+    # _PRODUCT_BYTES block (26 rows at P = 10^4) at a time; per sample, the
+    # memo keeps 15 products and the sign columns of the primes up to 12
+    # (141 bytes), and the logs, the values and the term sums take a few
+    # hundred bytes while the call runs.  A samples × primes int8 block
+    # alone would take len(primes) bytes per sample.
     added = 3000
     (small_peak, _), (large_peak, large_kept) = traced(1000), traced(1000 + added)
     assert large_peak - small_peak < added * (len(primes) + 256)
     assert large_kept < (1000 + added) * 256  # no int8 block stays behind
+
+
+def test_euler_memo_peak_at_cutoff_10_4_stays_below_2_mib():
+    # 1024-row blocks made a 10 MiB float64 copy of the 1229 primes' signs
+    # (an 11.0 MiB peak); 26-row blocks peak at about 1.3 MiB
+    d = decompose_rational(Fraction(1, 5), "plus")
+    primes_up_to(10**4)  # the prime table grows outside the trace
+    rm._euler_memo.cache_clear()
+    assert _traced_peak(lambda: rm.euler_values_matrix(d, 1000, 0, 10**4)) < 2 * 2**20
+
+
+#: product budgets of 4 rows a block in the series sums (one row in the
+#: Euler memo at P = 10^4), 32 (3) and 1024 (106)
+PRODUCT_BUDGETS = (1 << 12, 1 << 15, 1 << 20)
+
+
+@pytest.mark.parametrize("N", [3000, 10**4])
+def test_sample_series_matrix_does_not_depend_on_the_product_budget(monkeypatch, N):
+    # 300 samples end in a short batch; the blocks only regroup the sums
+    cols = np.column_stack([
+        CoefficientSpec(parity, Fraction(1, 3)).coefficients(N) for parity in ("plus", "minus")
+    ])
+    full = sample_series_matrix(cols, N, 300, seed0=11)
+    for budget in PRODUCT_BUDGETS:
+        monkeypatch.setattr(rm, "_PRODUCT_BYTES", budget)
+        np.testing.assert_allclose(sample_series_matrix(cols, N, 300, seed0=11), full, rtol=1e-13)
+
+
+@pytest.mark.parametrize("P", [1000, 10**4])
+def test_euler_values_do_not_depend_on_the_product_budget(monkeypatch, P):
+    # another block regroups each matmul's log sums, and exp carries that
+    # into the products; values move by a few ulp of the largest one
+    d = decompose_rational(Fraction(1, 5), "plus")
+
+    def values():
+        rm._euler_memo.cache_clear()
+        return rm.euler_values_matrix(d, 1000, 0, P)
+
+    full = values()
+    try:
+        for budget in PRODUCT_BUDGETS:
+            monkeypatch.setattr(rm, "_PRODUCT_BYTES", budget)
+            assert np.abs(values() - full).max() <= 16 * np.spacing(np.abs(full).max())
+    finally:
+        rm._euler_memo.cache_clear()  # no product of another budget stays cached
 
 
 def test_sample_series_matrix_memory_does_not_scale_as_samples_times_n():
@@ -1161,6 +1206,41 @@ def test_cube_moments_do_not_depend_on_the_chunk_size(monkeypatch, alpha, parity
         assert [part[k] for k in range(1, 5)] == [full[k] for k in range(1, 5)]
 
 
+def _cube_transforms(monkeypatch, c, chunk):
+    """moment_bundle(c, 6) at the given _CUBE_CHUNK, the _walsh calls it
+    made, the calls one per chunk for A_1 and one per narrow group give, and
+    s - c for each wide group, whose width s is more than the chunk's c
+    bits.  A group Q > 1 has the width of its largest small prime's index,
+    plus one."""
+    N = len(c)
+    support, _, _, large = rm._kernel_weights(c)
+    small = primes_up_to(math.isqrt(N)).tolist()
+    bits = min(len(small), chunk.bit_length() - 1)
+    widths = []
+    for q in np.unique(large[large > 1]).tolist():
+        m = support[large == q] // q
+        widths.append(max((i + 1 for i, p in enumerate(small) if (m % p == 0).any()), default=0))
+    calls = []
+    walsh = rm._walsh
+    monkeypatch.setattr(rm, "_CUBE_CHUNK", chunk)
+    monkeypatch.setattr(rm, "_walsh", lambda v: calls.append(len(v)) or walsh(v))
+    bundle = rm.moment_bundle(c, 6)
+    wide = [s - bits for s in widths if s > bits]
+    return bundle, len(calls), 2 ** (len(small) - bits) + len(widths) - len(wide), wide
+
+
+@pytest.mark.parametrize("chunk", [1 << 6, 1 << 10])
+def test_cube_moments_transform_a_wide_group_once_per_value_it_reads(monkeypatch, chunk):
+    # N = 3000 has r = 16 primes below sqrt(N), so 1024 and 64 chunks; a
+    # wide group reads the low s - c bits of the chunk's index h, so it
+    # takes 2^(s - c) transforms, not one per chunk
+    c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(3000)
+    _, calls, fixed, wide = _cube_transforms(monkeypatch, c, chunk)
+    chunk_bits = 16 - (chunk.bit_length() - 1)
+    assert min(wide) < chunk_bits  # some wide group reads fewer bits than h has
+    assert calls == fixed + sum(2**t for t in wide)
+
+
 @pytest.mark.parametrize("N", [1, 3, 100, 1000])
 def test_moment_bundle_of_zero_coefficients_is_zero(N):
     assert rm.moment_bundle(np.zeros(N), 6) == {k: 0.0 for k in range(1, 7)}
@@ -1188,16 +1268,18 @@ def test_moment_bundle_walks_27_small_primes(monkeypatch):
 
 
 @pytest.mark.slow
-def test_moment_bundle_k5_k6_at_the_moments_defaults():
-    # 2^25 sign vectors of the 25 primes below 100, in 128 chunks
+def test_moment_bundle_k5_k6_at_the_moments_defaults(monkeypatch):
+    # 2^25 sign vectors of the 25 primes below 100, in 128 chunks; the 10
+    # wide groups Q = 101 .. 149 take 442 transforms, not 10 per chunk
     c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(10**4)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        bundle = rm.moment_bundle(c, 6)
+        bundle, calls, fixed, wide = _cube_transforms(monkeypatch, c, rm._CUBE_CHUNK)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    assert (len(wide), sum(2**t for t in wide), calls) == (10, 442, fixed + 442)
     assert bundle[5] == pytest.approx(421.3481588149543, rel=1e-12)
     assert bundle[6] == pytest.approx(1970.223833359823, rel=1e-12)
     assert peak < 64 * 2**20
