@@ -1236,8 +1236,8 @@ def test_cube_moments_transform_a_wide_group_once_per_value_it_reads(monkeypatch
     # takes 2^(s - c) transforms, not one per chunk
     c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(3000)
     _, calls, fixed, wide = _cube_transforms(monkeypatch, c, chunk)
-    chunk_bits = 16 - (chunk.bit_length() - 1)
-    assert min(wide) < chunk_bits  # some wide group reads fewer bits than h has
+    h_bits = 16 - (chunk.bit_length() - 1)
+    assert min(wide) < h_bits  # some wide group reads fewer bits than h has
     assert calls == fixed + sum(2**t for t in wide)
 
 
