@@ -36,9 +36,14 @@ _C1 = _U(0x9E3779B97F4A7C15)
 _C2 = _U(0xBF58476D1CE4E5B9)
 _C3 = _U(0x94D049BB133111EB)
 
-#: seeds × primes cells hashed per block; a block and its shift temporaries
-#: stay in cache, and no second array of the whole matrix's size is made
-_HASH_BLOCK = 1 << 15
+#: bytes of one block's largest array in every blocked loop of the model,
+#: which divides it by that array's bytes per item: 8 for the sign hash's
+#: uint64 cells, a product's float64 copy of int8 rows and the fold's
+#: float64 a_n / n, and 16 for the xor convolution's pairs (an int64 key
+#: and a float64 value).  A block's largest array is one budget, so its
+#: temporaries (the hash's second scratch array, the xor block's roughly
+#: 70 bytes a pair, 1.1 MB) stay inside a 2 MiB L2 cache
+_BLOCK_BYTES = 1 << 18
 
 
 def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -75,7 +80,7 @@ def prime_sign_matrix(seeds: np.ndarray, primes: np.ndarray) -> np.ndarray:
     hs = _splitmix64(np.array(seeds, dtype=np.uint64))
     hp = _splitmix64(np.array(primes, dtype=np.uint64))
     signs = np.empty((len(hs), len(hp)), dtype=np.int8)
-    rows = max(1, _HASH_BLOCK // max(len(hp), 1))
+    rows = max(1, _BLOCK_BYTES // (8 * max(len(hp), 1)))
     z, t = np.empty((2, min(rows, len(hs)), len(hp)), dtype=np.uint64)
     for i in range(0, len(hs), rows):
         n = min(rows, len(hs) - i)
@@ -244,14 +249,6 @@ def decompose_rational(alpha: Fraction | float | str, parity: str) -> RationalDe
 # --------------------------------------------------------------------------
 # Euler-product evaluation
 
-#: bytes of each float64 copy of an int8 block that a product makes: sample
-#: rows of the Euler sign block (_PRODUCT_BYTES // (8 × primes) rows), and
-#: rows of the smooth X block or columns of the large-prime signs in the
-#: series sums (_PRODUCT_BYTES // (8 × _SERIES_BATCH)).  256 KiB stays in
-#: L2 beside the 512 KiB hash scratch; a fixed row count made the Euler
-#: copy grow with the prime cutoff (10 MiB at P = 10^4 for 1024 rows)
-_PRODUCT_BYTES = 1 << 18
-
 #: every dilation of a decomposition divides its denominator, so X_d reads
 #: the signs of the primes up to this alone
 _DILATION_LIMIT = max(_DENOMINATORS)
@@ -344,8 +341,8 @@ def _euler_products(
     """prod_{p <= P} (1 - chi(p) X_p / p)^{-1} per sample for each
     character: float64 for a character real at every prime, else complex.
     rows(start, stop) gives the int8 sign rows start .. stop-1 on the given
-    primes, asked for _PRODUCT_BYTES // (8 × primes) rows at a time (195 at
-    P = 1000, 26 at 10^4), so one block's float64 copy of _PRODUCT_BYTES is
+    primes, asked for _BLOCK_BYTES // (8 × primes) rows at a time (195 at
+    P = 1000, 26 at 10^4), so one block's float64 copy of _BLOCK_BYTES is
     made at a time.
 
     As X_p = ±1, -log(1 - c X_p / p) = e_p + X_p o_p with e_p and o_p its
@@ -361,7 +358,7 @@ def _euler_products(
     columns = np.concatenate([odd.real, odd[imag].imag]).T
     del c, up, down, odd  # characters × primes each, as complex
     logs = np.empty((samples, columns.shape[1]))
-    R = max(1, _PRODUCT_BYTES // (8 * len(primes)))
+    R = max(1, _BLOCK_BYTES // (8 * len(primes)))
     for r in range(0, samples, R):
         stop = min(r + R, samples)
         logs[r:stop] = rows(r, stop) @ columns
@@ -501,21 +498,18 @@ def _kernel_signs(signs: np.ndarray, layout: _KernelLayout) -> np.ndarray:
     return x
 
 
-#: n per slice of the fold: its float64 a_n / n stay a slice long, not N
-_FOLD_CHUNK = 1 << 16
-
-
 def _fold(coeff_columns: np.ndarray, layout: _KernelLayout) -> np.ndarray:
     """(kernel rows + 1, C): the sum of a_n / n over the n <= N of each
     row's kernel, one column per column of coeff_columns (N, C), and a last
     row of zeros, which row -1 of a group reads.  X_n = X_core(n), so
-    sum_n a_n X_n / n = sum_d w_d X_d.  The n go a slice at a time in
-    increasing order, so each sum adds its terms in the order a bincount
-    over all n would."""
+    sum_n a_n X_n / n = sum_d w_d X_d.  The n go _BLOCK_BYTES // 8 at a
+    time (the float64 a_n / n of a slice) in increasing order, so each sum
+    adds its terms in the order a bincount over all n would."""
     N, C = coeff_columns.shape
     weights = np.zeros((len(layout.kernels) + 1, C))
-    for start in range(0, N, _FOLD_CHUNK):
-        stop = min(start + _FOLD_CHUNK, N)
+    chunk = _BLOCK_BYTES // 8
+    for start in range(0, N, chunk):
+        stop = min(start + chunk, N)
         rows = layout.row_of[start + 1 : stop + 1]
         n = np.arange(start + 1, stop + 1, dtype=np.float64)
         for c in range(C):
@@ -529,14 +523,15 @@ def _series_weights(
     """The folded weights as _series_sum reads them: the smooth rows' (smooth,
     C), and per group of m a (run, m × C) block whose column (i, c) holds
     w_{m_i Q_j} at row j, Q_j the j-th prime above sqrt(N), 0 past m_i's
-    run."""
+    run.  The smooth rows are a copy, so the whole folded table is freed
+    before the batches run."""
     weights = _fold(coeff_columns, layout)
     blocks = [weights[index].reshape(len(index), -1) for index in layout.groups]
-    return weights[: layout.smooth], blocks
+    return weights[: layout.smooth].copy(), blocks
 
 
 #: samples per sign block of sample_series_matrix, and the width of the
-#: series sums' product blocks (_PRODUCT_BYTES // (8 × 128) = 256 rows): of
+#: series sums' product blocks (_BLOCK_BYTES // (8 × 128) = 256 rows): of
 #: 32 .. 512, 128 to 256 tie as fastest at N = 10^4 and 128 to 192 at 10^5
 #: (one BLAS thread); the int8 smooth block takes about 0.15 N × 128 bytes,
 #: and memory does not grow with samples
@@ -558,7 +553,7 @@ def _series_sum(
     x = _kernel_signs(signs, layout)
     # from the full batch width, so that a shorter last batch sums its seeds
     # in the same blocks
-    R = max(1, _PRODUCT_BYTES // (8 * _SERIES_BATCH))
+    R = max(1, _BLOCK_BYTES // (8 * _SERIES_BATCH))
     acc = np.zeros((smooth_weights.shape[1], len(signs)))
     for r in range(0, len(x), R):
         acc += smooth_weights[r : r + R].T @ x[r : r + R].astype(np.float64)
@@ -754,12 +749,13 @@ def moment_bundle(coeffs: np.ndarray, kmax: int = 4) -> dict[int, float]:
         E S^4 = sum_t (c_1^2 + 6 c_1 C + 3 C^2 - 2 sum_{Q>1} c_Q^2)(t).
 
     Only the pairs inside one group are enumerated, and never all of them
-    at once: _xor_convolution reduces them in blocks of about _XOR_BLOCK
-    pairs whose keys no other block reaches.  At N = 10^4, 1/3 minus, the
-    920 smooth kernels have 423,660 pairs (32 blocks) and the 1204 groups
-    Q > 1 have 22,202 (2 blocks); the call takes about 0.06 s CPU with a
-    1.4 MiB tracemalloc peak.  At N = 3*10^4, 1/4 plus, the 2684 smooth
-    kernels have 3,603,270 pairs (256 blocks): about 0.45 s and 3.1 MiB.
+    at once: _xor_convolution reduces them in blocks of about
+    _BLOCK_BYTES // 16 pairs whose keys no other block reaches.  At
+    N = 10^4, 1/3 minus, the 920 smooth kernels have 423,660 pairs (32
+    blocks) and the 1204 groups Q > 1 have 22,202 (2 blocks); the call
+    takes about 0.06 s CPU with a 1.4 MiB tracemalloc peak.  At
+    N = 3*10^4, 1/4 plus, the 2684 smooth kernels have 3,603,270 pairs (256
+    blocks): about 0.45 s and 3.1 MiB.
 
     k = 5, 6 average over the 2^r sign vectors of the r primes <= sqrt(N)
     (_cube_moments), so their cost doubles with each such prime: about 4 s
@@ -796,12 +792,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b, dtype=np.longdouble))
 
 
-#: pairs per block of the xor convolution; a block's indices, keys, values
-#: and their sort take about 70 bytes a pair, whatever N, so 2^14 pairs
-#: (1.1 MB) stay inside a 2 MB L2 cache
-_XOR_BLOCK = 1 << 14
-
-
 def _xor_convolution(
     support: np.ndarray, weights: np.ndarray, large: np.ndarray, w_full: np.ndarray
 ) -> tuple[float, float]:
@@ -827,6 +817,7 @@ def _xor_convolution(
     m, w, large = support[order] // large[order], weights[order], large[order]
     smooth = int(np.searchsorted(large, 2))
     unit = len(w_full)
+    per_block = _BLOCK_BYTES // 16  # pairs: an int64 key and a float64 value each
     # the groups Q > 1: row i pairs with the rows i .. end of its group,
     # whose keys are offset by unit per group to keep the groups apart
     starts = smooth + np.flatnonzero(np.diff(large[smooth:], prepend=1))
@@ -834,7 +825,7 @@ def _xor_convolution(
     pairs = sizes * (sizes + 1) // 2
     group = np.repeat(np.arange(len(sizes)), sizes)
     rows, ends = np.arange(smooth, len(m)), np.repeat(starts + sizes, sizes)
-    block = ((np.cumsum(pairs) - pairs) // _XOR_BLOCK)[group]
+    block = ((np.cumsum(pairs) - pairs) // per_block)[group]
     cuts = np.append(np.flatnonzero(np.diff(block, prepend=-1)), len(rows))
     C = np.zeros(unit)
     third, fourth = [], []
@@ -845,12 +836,12 @@ def _xor_convolution(
     third.append(3 * _dot(w_full, C))
     fourth.append(3 * _dot(C, C))
     # the smooth group: r is the least for which the blocks average at most
-    # _XOR_BLOCK pairs, but 2^r <= smooth / 4, so that they average at least
+    # per_block pairs, but 2^r <= smooth / 4, so that they average at least
     # 2 * smooth pairs: each block also builds partner, lo and hi over every
     # smooth kernel
     d, w = m[:smooth], w[:smooth]
     pairs = smooth * (smooth + 1) // 2
-    r = min((max(pairs - 1, 0) // _XOR_BLOCK).bit_length(), max(smooth.bit_length() - 3, 0))
+    r = min((max(pairs - 1, 0) // per_block).bit_length(), max(smooth.bit_length() - 3, 0))
     sig = np.zeros(smooth, dtype=np.int64)
     if r:  # sig is additive on any set of primes; these hold every prime
         # of a smooth kernel when the largest kernel is near N

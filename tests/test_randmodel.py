@@ -522,10 +522,11 @@ def test_coefficients_memory_is_the_output_and_one_period():
     assert _traced_peak(lambda: CoefficientSpec("plus", Fraction(1, 3)).coefficients(N)) < 20 * N
 
 
-@pytest.mark.parametrize("chunk", [7, 1 << 16])
+@pytest.mark.parametrize("chunk", [7, 1 << 15, 1 << 16])
 def test_fold_adds_in_the_order_of_one_bincount(monkeypatch, chunk):
-    # the printed series values depend on the order of each kernel's sum
-    monkeypatch.setattr(rm, "_FOLD_CHUNK", chunk)
+    # the printed series values depend on the order of each kernel's sum;
+    # the fold takes _BLOCK_BYTES // 8 n a slice, 2^15 at the default
+    monkeypatch.setattr(rm, "_BLOCK_BYTES", 8 * chunk)
     N = 3000
     layout = rm._kernel_layout(N)
     cols = np.column_stack([CoefficientSpec(p, Fraction(1, 3)).coefficients(N) for p in ("plus", "minus")])
@@ -631,7 +632,7 @@ def test_euler_values_matrix_memory_grows_by_the_int8_block_only():
             tracemalloc.stop()
 
     # the int8 sign rows are hashed and their float64 copy made one
-    # _PRODUCT_BYTES block (26 rows at P = 10^4) at a time; per sample, the
+    # _BLOCK_BYTES block (26 rows at P = 10^4) at a time; per sample, the
     # memo keeps 15 products and the sign columns of the primes up to 12
     # (141 bytes), and the logs, the values and the term sums take a few
     # hundred bytes while the call runs.  A samples × primes int8 block
@@ -651,8 +652,8 @@ def test_euler_memo_peak_at_cutoff_10_4_stays_below_2_mib():
     assert _traced_peak(lambda: rm.euler_values_matrix(d, 1000, 0, 10**4)) < 2 * 2**20
 
 
-#: product budgets of 4 rows a block in the series sums (one row in the
-#: Euler memo at P = 10^4), 32 (3) and 1024 (106)
+#: block budgets of 4 rows a product block in the series sums (one row in
+#: the Euler memo at P = 10^4), 32 (3) and 1024 (106)
 PRODUCT_BUDGETS = (1 << 12, 1 << 15, 1 << 20)
 
 
@@ -664,7 +665,7 @@ def test_sample_series_matrix_does_not_depend_on_the_product_budget(monkeypatch,
     ])
     full = sample_series_matrix(cols, N, 300, seed0=11)
     for budget in PRODUCT_BUDGETS:
-        monkeypatch.setattr(rm, "_PRODUCT_BYTES", budget)
+        monkeypatch.setattr(rm, "_BLOCK_BYTES", budget)
         np.testing.assert_allclose(sample_series_matrix(cols, N, 300, seed0=11), full, rtol=1e-13)
 
 
@@ -681,10 +682,21 @@ def test_euler_values_do_not_depend_on_the_product_budget(monkeypatch, P):
     full = values()
     try:
         for budget in PRODUCT_BUDGETS:
-            monkeypatch.setattr(rm, "_PRODUCT_BYTES", budget)
+            monkeypatch.setattr(rm, "_BLOCK_BYTES", budget)
             assert np.abs(values() - full).max() <= 16 * np.spacing(np.abs(full).max())
     finally:
         rm._euler_memo.cache_clear()  # no product of another budget stays cached
+
+
+def test_series_weights_smooth_rows_own_their_data():
+    # a view of the folded table kept all of its (kernel rows + 1) × C alive
+    # through every batch, for the smooth rows that the sums read
+    N = 3000
+    layout = rm._kernel_layout(N)
+    cols = CoefficientSpec("minus", Fraction(1, 3)).coefficients(N)[:, None]
+    smooth, _ = rm._series_weights(cols, layout)
+    assert smooth.base is None
+    assert smooth.tobytes() == rm._fold(cols, layout)[: layout.smooth].tobytes()
 
 
 def test_sample_series_matrix_memory_does_not_scale_as_samples_times_n():
@@ -720,6 +732,19 @@ def test_prime_sign_matrix_matches_pure_python_splitmix64():
         for j, p in enumerate(primes.tolist()):
             h = _splitmix64(_splitmix64(seed) ^ _splitmix64(p))
             assert signs[i, j] == (-1 if h >> 63 else 1), (seed, p)
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_prime_sign_matrix_does_not_depend_on_its_row_blocks(monkeypatch, rows):
+    # 50 seeds hash one row a block, in 7-row blocks with a short last one,
+    # and at the default budget (109 rows on 300 primes) in one block
+    seeds, primes = np.arange(50, dtype=np.uint64) + np.uint64(2**63 - 20), first_primes(300)
+    if rows is not None:
+        monkeypatch.setattr(rm, "_BLOCK_BYTES", 8 * len(primes) * rows)
+    expected = [[-1 if _splitmix64(_splitmix64(seed) ^ _splitmix64(p)) >> 63 else 1
+                 for p in primes.tolist()] for seed in seeds.tolist()]
+    signs = rm.prime_sign_matrix(seeds, primes)
+    assert signs.tobytes() == np.array(expected, dtype=np.int8).tobytes()
 
 
 def test_import_leaves_numpy_error_state_alone():
@@ -886,18 +911,20 @@ def test_moment_k2_brute_force():
         assert moment_direct(c, 2) == pytest.approx(_brute_second_moment(c), abs=1e-10)
 
 
-#: block sizes of the xor convolution the oracles run at besides the
-#: default: at one pair per block the smooth group splits into as many
-#: blocks as it has kernels and every group Q > 1 is a block of its own
+#: pairs per block of the xor convolution the oracles run at besides the
+#: default (_BLOCK_BYTES // 16, 16 bytes a pair): at one pair per block the
+#: smooth group splits into as many blocks as it has kernels and every
+#: group Q > 1 is a block of its own
 XOR_BLOCKS = (1, 64)
 
 
 def _at_each_xor_block(check):
-    """Run check() at the default _XOR_BLOCK and at each of XOR_BLOCKS."""
+    """Run check() at the default budget and at 16 bytes per pair of each
+    of XOR_BLOCKS."""
     check()
     for block in XOR_BLOCKS:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rm, "_XOR_BLOCK", block)
+            patch.setattr(rm, "_BLOCK_BYTES", 16 * block)
             check()
 
 
@@ -1062,8 +1089,9 @@ def test_moment_bundle_memory_does_not_follow_the_smooth_pairs():
 
 
 def _xor_blocks(c, block):
-    """moment_bundle(c) at _XOR_BLOCK = block, and for each block of its
-    xor convolution whether it is of the smooth group, with its pairs."""
+    """moment_bundle(c) at block pairs per xor block (_BLOCK_BYTES =
+    16 × block), and for each block of its xor convolution whether it is of
+    the smooth group, with its pairs."""
     blocks, convolve = [], rm._block_convolution
 
     def record(d, w, rows, lo, hi, offset=None):
@@ -1071,7 +1099,7 @@ def _xor_blocks(c, block):
         return convolve(d, w, rows, lo, hi, offset)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rm, "_XOR_BLOCK", block)
+        patch.setattr(rm, "_BLOCK_BYTES", 16 * block)
         patch.setattr(rm, "_block_convolution", record)
         return rm.moment_bundle(c), blocks
 
@@ -1086,12 +1114,13 @@ def _smooth_blocks(c, block):
 
 def test_xor_blocks_fit_the_cache_at_the_moments_defaults():
     c = CoefficientSpec("minus", Fraction(1, 3)).coefficients(10**4)
-    _, blocks = _xor_blocks(c, rm._XOR_BLOCK)
-    pairs, classes = _smooth_blocks(c, rm._XOR_BLOCK)
+    per_block = rm._BLOCK_BYTES // 16
+    _, blocks = _xor_blocks(c, per_block)
+    pairs, classes = _smooth_blocks(c, per_block)
     assert classes == 32
     assert [is_smooth for is_smooth, _ in blocks] == [False] * 2 + [True] * classes
     assert sum(n for is_smooth, n in blocks if is_smooth) == pairs
-    assert max(n for _, n in blocks) <= 2 * rm._XOR_BLOCK
+    assert max(n for _, n in blocks) <= 2 * per_block
 
 
 @pytest.mark.parametrize("alpha,parity", [(Fraction(1, 3), "minus"), (Fraction(1, 4), "plus")])

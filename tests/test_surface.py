@@ -1,6 +1,6 @@
-"""Every top-level function and class of the package, every method and
-property of its classes, and every field of its dataclasses is used by the
-program.
+"""Every top-level function, class and assigned name (constant) of the
+package, every method and property of its classes, and every field of its
+dataclasses is used by the program.
 
 A definition that only the tests reach is test code kept in the library:
 the tests compute such checks themselves (helpers shared between test files
@@ -35,14 +35,26 @@ def _read_names(node, skip=()) -> set[str]:
     return names
 
 
+def _defined_names(stmt) -> list[str]:
+    """The names a top-level statement defines: a function's or a class's,
+    or the plain names an assignment binds, dunders (__all__) left out."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name) and not node.id.startswith("__")]
+    return []
+
+
 def test_every_library_definition_is_used_outside_the_tests():
     statements = [(path, stmt) for path in PROGRAM for stmt in ast.parse(path.read_text()).body]
     reads = [_read_names(stmt) for _, stmt in statements]
     unused = [
-        f"{path.relative_to(ROOT)}:{stmt.lineno} {stmt.name}"
-        for i, (path, stmt) in enumerate(statements)
-        if path.parent == PACKAGE and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not any(stmt.name in names for j, names in enumerate(reads) if j != i)
+        f"{path.relative_to(ROOT)}:{stmt.lineno} {name}"
+        for i, (path, stmt) in enumerate(statements) if path.parent == PACKAGE
+        for name in _defined_names(stmt)
+        if not any(name in names for j, names in enumerate(reads) if j != i)
     ]
     assert not unused, "defined in the package but used only by tests:\n" + "\n".join(unused)
 
