@@ -33,7 +33,7 @@ def sieve_primes(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    primes = np.nonzero(mask)[0].astype(np.int64)
+    primes = np.flatnonzero(mask).astype(np.int64, copy=False)
     primes.setflags(write=False)
     return primes
 

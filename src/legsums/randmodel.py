@@ -48,13 +48,13 @@ _BLOCK_BYTES = 1 << 18
 
 def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The splitmix64 finaliser but its last xorshift, in place on a uint64
-    array; t is a scratch array of z's shape."""
-    with np.errstate(over="ignore"):  # the mixing relies on wraparound
-        z += _C1
-        z ^= np.right_shift(z, _U(30), out=t)
-        z *= _C2
-        z ^= np.right_shift(z, _U(27), out=t)
-        z *= _C3
+    array; t is a scratch array of z's shape.  The mixing relies on
+    wraparound, which numpy's integer array arithmetic never checks."""
+    z += _C1
+    z ^= np.right_shift(z, _U(30), out=t)
+    z *= _C2
+    z ^= np.right_shift(z, _U(27), out=t)
+    z *= _C3
     return z
 
 
@@ -481,23 +481,6 @@ def _kernel_layout(N: int) -> _KernelLayout:
     )
 
 
-def _kernel_signs(signs: np.ndarray, layout: _KernelLayout) -> np.ndarray:
-    """X_d on the smooth rows from a (samples × primes) sign matrix.
-
-    Kernel-major int8: x[r, s] = X_d for the d of layout row r < smooth in
-    sample s.  Level by level in omega(d), x[d] = x[spf(d)] * x[d / spf(d)],
-    so each level is one vectorised gather.
-    """
-    x = np.empty((layout.smooth, signs.shape[0]), dtype=np.int8)
-    x[0] = 1
-    x[1 : 1 + layout.small] = signs[:, : layout.small].T
-    for start, stop in layout.levels:
-        np.multiply(
-            x[layout.spf_row[start:stop]], x[layout.rest_row[start:stop]], out=x[start:stop]
-        )
-    return x
-
-
 def _fold(coeff_columns: np.ndarray, layout: _KernelLayout) -> np.ndarray:
     """(kernel rows + 1, C): the sum of a_n / n over the n <= N of each
     row's kernel, one column per column of coeff_columns (N, C), and a last
@@ -546,16 +529,26 @@ def _series_sum(
 
     The sum is A_1 + sum_m X_m B_m, with A_1 = sum w_d X_d over the smooth
     d and B_m = sum_Q w_{mQ} X_Q over the primes Q > sqrt(N) with m Q <= N.
-    X is built on the smooth rows only, and all the B_m of a group of m
-    come from one product of the large-prime signs with its block.
+    X is kernel-major int8 on the smooth rows only, x[r, s] = X_d for the d
+    of row r in sample s.  It is built and summed in one pass of row
+    blocks: a block's rows of each omega level in turn are x[spf(d)] *
+    x[d / spf(d)], which read only rows of earlier levels, so the gathers
+    are one block's.  All the B_m of a group of m come from one product of
+    the large-prime signs with its block.
     """
     smooth_weights, blocks = weights
-    x = _kernel_signs(signs, layout)
+    x = np.empty((layout.smooth, len(signs)), dtype=np.int8)
+    x[0] = 1
+    x[1 : 1 + layout.small] = signs[:, : layout.small].T
     # from the full batch width, so that a shorter last batch sums its seeds
     # in the same blocks
     R = max(1, _BLOCK_BYTES // (8 * _SERIES_BATCH))
     acc = np.zeros((smooth_weights.shape[1], len(signs)))
     for r in range(0, len(x), R):
+        for start, stop in layout.levels:
+            lo, hi = max(start, r), min(stop, r + R)
+            if lo < hi:
+                np.multiply(x[layout.spf_row[lo:hi]], x[layout.rest_row[lo:hi]], out=x[lo:hi])
         acc += smooth_weights[r : r + R].T @ x[r : r + R].astype(np.float64)
     large = signs[:, layout.small :]
     b = np.zeros((len(signs), len(layout.m_rows) * len(acc)))  # B_m per column, m-major

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -50,15 +51,11 @@ def row_sign(row, primes):
 
 
 def kernel_x(signs, N):
-    """The kernel engine's X_n for 0 <= n <= N (column 0 unused), per row of
-    a sign block on the primes up to N: X_m from its smooth block times X_Q,
-    for core(n) = m Q with Q the prime factor above sqrt(N) (1 if none)."""
-    layout = rm._kernel_layout(N)
-    q = layout.large[layout.row_of]
-    m = layout.kernels[layout.row_of] // q
-    x_q = np.hstack([np.ones((len(signs), 1), dtype=np.int8), signs])  # column 0 is X_1
-    x_q = x_q[:, np.searchsorted(layout.primes, q, side="right") * (q > 1)]
-    return rm._kernel_signs(signs, layout)[layout.row_of[m]].T * x_q
+    """The series engine's X_n for 0 <= n <= N (column 0 unused), per row of
+    a sign block on the primes up to N: the sums on the unit columns
+    diag(1 .. N), where column n sums n X_n / n = X_n exactly."""
+    x = series_rows(np.diag(np.arange(1.0, N + 1)), signs, N)
+    return np.hstack([np.zeros((len(signs), 1)), x]).astype(np.int8)
 
 
 def series_rows(coeff_columns, signs, N):
@@ -248,13 +245,16 @@ def test_series_half_minus_all_plus_is_odd_harmonic():
 
 def test_euler_matches_series_for_all_supported():
     N, P = 10**6, 10**3
-    x = kernel_x(rm.prime_sign_matrix(np.array([11]), primes_up_to(N)), N)[0, 1:]
-    x = x / np.arange(1, N + 1)
-    for alpha, parity in SUPPORTED:
-        d = decompose_rational(alpha, parity)
-        e = rm.euler_values_matrix(d, 1, seed0=11, prime_cutoff=P)[0]
-        v = float(np.dot(CoefficientSpec(parity, alpha).coefficients(N), x))
-        assert abs(e - v) <= 1e-2 * (1 + abs(e)), (alpha, parity, e, v)
+    layout = rm._kernel_layout(N)
+    signs = rm.prime_sign_matrix(np.array([11]), layout.primes)
+    for i in range(0, len(SUPPORTED), 4):  # 8 MB a coefficient column
+        pairs = SUPPORTED[i : i + 4]
+        cols = np.column_stack([CoefficientSpec(p, a).coefficients(N) for a, p in pairs])
+        values = rm._series_sum(rm._series_weights(cols, layout), signs, layout)[0]
+        for (alpha, parity), v in zip(pairs, values.tolist()):
+            d = decompose_rational(alpha, parity)
+            e = rm.euler_values_matrix(d, 1, seed0=11, prime_cutoff=P)[0]
+            assert abs(e - v) <= 1e-2 * (1 + abs(e)), (alpha, parity, e, v)
 
 
 def test_quarter_minus_zero_when_x2_negative():
@@ -699,6 +699,19 @@ def test_series_weights_smooth_rows_own_their_data():
     assert smooth.tobytes() == rm._fold(cols, layout)[: layout.smooth].tobytes()
 
 
+def test_series_sum_builds_x_in_its_product_blocks():
+    # X built on every smooth row first, then summed, also held the two
+    # gathers of the widest omega level (13,505 rows): 6.96 MiB here
+    N = 2 * 10**5
+    layout = rm._kernel_layout(N)
+    weights = rm._series_weights(
+        CoefficientSpec("minus", Fraction(1, 3)).coefficients(N)[:, None], layout
+    )
+    signs = rm.prime_sign_matrix(rm._seeds(0, 0, 128), layout.primes)
+    x_block = layout.smooth * len(signs)  # the int8 X, 3.66 MiB
+    assert _traced_peak(lambda: rm._series_sum(weights, signs, layout)) < x_block + 1.5 * 2**20
+
+
 def test_sample_series_matrix_memory_does_not_scale_as_samples_times_n():
     import tracemalloc
 
@@ -726,7 +739,11 @@ def _splitmix64(z: int) -> int:
 def test_prime_sign_matrix_matches_pure_python_splitmix64():
     seeds = [0, 1, 2, 17, 999, 2**31 + 5, 2**63 - 1]
     primes = first_primes(300)
-    signs = rm.prime_sign_matrix(np.array(seeds, dtype=np.uint64), primes)
+    # the hash wraps mod 2^64 in integer array arithmetic, which numpy
+    # never checks, so it needs no errstate of its own
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        signs = rm.prime_sign_matrix(np.array(seeds, dtype=np.uint64), primes)
     assert signs.dtype == np.int8
     for i, seed in enumerate(seeds):
         for j, p in enumerate(primes.tolist()):
