@@ -1,14 +1,13 @@
 """Prime generation.
 
-Everything here is pure and immutable after construction, so it is safe to
-share between threads without locking (the lazily grown module-level sieve
-cache is guarded internally).
+Every table is sieved for the call that asks for it and returned read-only;
+nothing is kept between calls, so no table outlives its last reader and the
+functions are safe to call from any thread.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -38,20 +37,6 @@ def sieve_primes(limit: int) -> np.ndarray:
     return primes
 
 
-# Shared (limit, primes), empty at import: the first lookup sieves what it
-# asks for, and a lookup past the table sieves again, wider.
-_cache_lock = threading.Lock()
-_cached = (1, np.zeros(0, dtype=np.int64))
-
-
-def _grown_to(limit: int) -> tuple[int, np.ndarray]:
-    global _cached
-    with _cache_lock:
-        if _cached[0] < limit:
-            _cached = (limit, sieve_primes(limit))
-        return _cached
-
-
 def _nth_prime_bound(n: int) -> int:
     """An upper bound for the n-th prime: Rosser's p_n < n (ln n + ln ln n)
     for n >= 6, and 13 below, so one sieve to it holds the first n primes."""
@@ -65,13 +50,16 @@ def first_primes(n: int) -> np.ndarray:
     """Array of the first n primes."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _grown_to(_nth_prime_bound(n))[1][:n]
+    return sieve_primes(_nth_prime_bound(n))[:n]
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """Array of all primes <= limit."""
-    primes = _grown_to(max(limit, 2))[1]
-    return primes[: int(np.searchsorted(primes, limit, side="right"))]
+    """Array of all primes <= limit, empty below 2."""
+    if limit < 2:
+        primes = np.zeros(0, dtype=np.int64)
+        primes.setflags(write=False)
+        return primes
+    return sieve_primes(limit)
 
 
 def is_prime(n: int) -> bool:

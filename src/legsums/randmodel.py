@@ -390,9 +390,9 @@ class _KernelLayout:
 
     kernels, large and row_of are in _index_dtype(N), int32 below N = 2^31:
     row_of alone is 4 bytes per n <= N.  The row indices gathered on every
-    batch (spf_row, rest_row, m_rows, groups) are intp, which numpy would
-    otherwise convert on each gather; they span the smooth rows and the
-    groups, not every n.
+    batch (spf_row, rest_row, m_rows) and once per call (groups, by
+    _series_weights) are intp, which numpy would otherwise convert on each
+    gather; they span the smooth rows and the groups, not every n.
     """
 
     kernels: np.ndarray  # d of each row

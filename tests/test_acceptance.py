@@ -181,6 +181,22 @@ def test_criterion_5_minus_class_dips_below_zero_between_third_and_half():
     assert math.floor(Fraction(8, 17) * p) == 102836
 
 
+def test_criterion_5_minus_class_dips_to_minus_ten_at_877783():
+    # the second such prime, and the last among the first 10^5 primes:
+    # p = 877783 ≡ 7 (mod 24) is negative at 57 cutoffs m of the window
+    # [ceil(p/3), floor(p/2)], with its minimum -10 at m = 413072, two below
+    # floor(8p/17)
+    p = 877783
+    assert p % 24 == 7
+    partial = list(itertools.accumulate((jacobi(n, p) for n in range(1, p // 2 + 1)), initial=0))
+    lo = -(-p // 3)
+    window = partial[lo:]
+    assert min(window) == -10
+    assert lo + window.index(-10) == 413072 == math.floor(Fraction(8, 17) * p) - 2
+    assert sum(value < 0 for value in window) == 57
+    assert legendre_sum(Fraction(413072, p), p) == -10
+
+
 def test_criterion_5_eighth_plus_conditional_law():
     d = rm.decompose_rational(Fraction(1, 8), "plus")
     seeds = np.arange(1000)

@@ -442,11 +442,11 @@ def test_class_number_table_grows_safely_under_threads(monkeypatch):
 
 
 def test_one_alpha_scan_memory(monkeypatch):
-    # the squares table and one buffer of (p-1)/2 uint32 each (about 0.2 MB
-    # at the 10^4th prime), the freshly sieved class number table (0.1 MB)
-    # and the per-prime cutoffs; the residue count's per-prime lists (3.1 MB)
-    # would not fit
-    first_primes(10**4)
+    # the scan's own sieve of the first 10^4 primes (0.2 MB), the squares
+    # table and one buffer of (p-1)/2 uint32 each (about 0.2 MB at the
+    # 10^4th prime), the freshly sieved class number table (0.1 MB) and the
+    # per-prime cutoffs; the residue count's per-prime lists (3.1 MB) would
+    # not fit
     monkeypatch.setattr(charsum, "_forms", np.zeros(0, dtype=np.int32))
     tracemalloc.start()
     try:

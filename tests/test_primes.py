@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -33,11 +34,33 @@ def test_no_sieve_runs_at_import():
         "sys.setprofile(hook)",
         "import legsums, legsums.cli",
         "sys.setprofile(None)",
-        "print(calls, legsums.primes._cached[0], len(legsums.charsum._forms))",
+        "print(calls, len(legsums.charsum._forms))",
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
-    assert out == "[] 1 0\n"
+    assert out == "[] 0\n"
+
+
+def test_no_prime_table_outlives_its_call():
+    # in a fresh process, so no earlier test has sieved yet: a table kept
+    # after the calls (the 78,498 int64 primes to 10^6 are 613 KiB) would
+    # stay traced once their results are dropped
+    code = "\n".join([
+        "import tracemalloc",
+        "from legsums.primes import primes_up_to",
+        "from legsums.tails import sigma2_one_third",
+        "tracemalloc.start()",
+        "base = tracemalloc.get_traced_memory()[0]",
+        "primes_up_to(10**6)",
+        "sigma2_one_third(10**6)",
+        "print(tracemalloc.get_traced_memory()[0] - base)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
+    assert int(out) < 64 * 2**10
+    for limit in (0, 1):
+        empty = primes_up_to(limit)
+        assert empty.dtype == np.int64 and len(empty) == 0 and not empty.flags.writeable
 
 
 def test_sieve_rejects_tiny_limit():

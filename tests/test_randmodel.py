@@ -512,7 +512,6 @@ def _traced_peak(call):
 def test_kernel_layout_memory_follows_the_narrow_tables():
     # int64 tables over 0..N, six alive at once, peaked at about 88 bytes per n
     N = 2 * 10**5
-    primes_up_to(N)  # the prime table grows outside the trace
     assert _traced_peak(lambda: rm._kernel_layout(N)) < 40 * N
 
 
@@ -647,7 +646,6 @@ def test_euler_memo_peak_at_cutoff_10_4_stays_below_2_mib():
     # 1024-row blocks made a 10 MiB float64 copy of the 1229 primes' signs
     # (an 11.0 MiB peak); 26-row blocks peak at about 1.3 MiB
     d = decompose_rational(Fraction(1, 5), "plus")
-    primes_up_to(10**4)  # the prime table grows outside the trace
     rm._euler_memo.cache_clear()
     assert _traced_peak(lambda: rm.euler_values_matrix(d, 1000, 0, 10**4)) < 2 * 2**20
 

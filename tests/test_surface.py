@@ -116,3 +116,14 @@ def test_every_field_of_a_library_dataclass_is_read_by_the_program():
         if isinstance(field, ast.AnnAssign) and field.target.id not in read
     ]
     assert not unused, "a package dataclass field read only by tests:\n" + "\n".join(unused)
+
+
+def test_the_only_module_table_a_function_rebinds_is_the_class_number_table():
+    # module state rebound by a function lives as long as the process and is
+    # shared by every caller; charsum._forms is the one such table kept, since
+    # its hits save most of a density-table round
+    rebound = {f"{path.stem}.{name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Global)
+               for name in node.names}
+    assert rebound == {"charsum._forms"}
