@@ -42,17 +42,6 @@ import numpy as np
 
 from .primes import first_primes, is_prime, primes_up_to
 
-__all__ = [
-    "DensityReport",
-    "DirichletCheck",
-    "parse_alpha",
-    "alpha_cutoff",
-    "legendre_sum",
-    "density_scan",
-    "density_sweep",
-    "dirichlet_checks",
-]
-
 Alpha = Fraction | float | int
 
 
@@ -63,11 +52,6 @@ def parse_alpha(text: str) -> Alpha:
     return float(text)
 
 
-def _check_alpha(alpha: Alpha) -> None:
-    if not (0 <= alpha < 1):
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-
-
 def alpha_cutoff(alpha: Alpha, p):
     """floor(alpha * p) in exact integer arithmetic.
 
@@ -75,7 +59,8 @@ def alpha_cutoff(alpha: Alpha, p):
     never depends on how alpha*p would round.  p is an int, or an integer
     array giving an int64 array of cutoffs.
     """
-    _check_alpha(alpha)
+    if not (0 <= alpha < 1):
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     a = Fraction(alpha)
     num, den = a.numerator, a.denominator
     if np.ndim(p) == 0:
@@ -297,8 +282,6 @@ def density_sweep(alphas, sizes, threads: int | None = None) -> list[list[Densit
     into 16 spans at threads=4 1.39 and 8.3 s (medians of 3 processes).
     """
     alphas, sizes = list(alphas), list(sizes)
-    for alpha in alphas:
-        _check_alpha(alpha)
     if not alphas or not sizes:
         raise ValueError("need at least one alpha and one prime count")
     if min(sizes) < 1:

@@ -292,7 +292,7 @@ def _cmd_certification_chain(args) -> tuple[str, int | str]:
     lines = [
         f"sigma^2 partial {partial:.6f} + tail {tail:.2e} = {total:.6f} "
         f"(< {tails.SIGMA2}: {total < tails.SIGMA2})",
-        f"zeta(4/3)^3/zeta(8/3) * 2^(4/3) = {zr.scaled:.4f} (< 92: {zr.below_92})",
+        f"zeta(4/3)^3/zeta(8/3) * 2^(4/3) = {zr.scaled:.4f} (< 92: {zr.scaled < 92})",
         f"distance prefactor 92*(2pi)^(2/3) = "
         f"{tails.distance_bound(2 * math.pi, 1, 1):.2f} (printed 313.3)",
         f"series prefactors: printed {tails.PRINTED}, "

@@ -11,14 +11,6 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "sieve_primes",
-    "first_primes",
-    "primes_up_to",
-    "is_prime",
-]
-
-
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes up to and including ``limit``, read-only, by plain
     Eratosthenes.

@@ -114,10 +114,6 @@ class ZetaRatioReport:
 
     scaled: float
 
-    @property
-    def below_92(self) -> bool:
-        return self.scaled < 92
-
 
 def zeta_ratio_check(N: int = 1_000_000) -> ZetaRatioReport:
     """The Dirichlet series of tau(n^2) at s is zeta(s)^3/zeta(2s); at

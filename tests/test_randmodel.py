@@ -10,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from legsums import primes as primes_mod
 from legsums.primes import first_primes, primes_up_to
 from legsums import randmodel as rm
 from legsums.randmodel import (
     CoefficientSpec,
     PositivityEstimate,
-    UnsupportedAlphaError,
     decompose_rational,
     estimate_positivity,
     moment_direct,
@@ -190,9 +190,9 @@ def test_tables_completely_multiplicative(alpha, parity):
 
 
 def test_unsupported_alpha_raises():
-    with pytest.raises(UnsupportedAlphaError):
+    with pytest.raises(ValueError, match="no decomposition for alpha="):
         decompose_rational(Fraction(1, 7), "plus")
-    with pytest.raises(UnsupportedAlphaError):
+    with pytest.raises(ValueError, match="no decomposition for alpha="):
         decompose_rational(Fraction(3, 5), "minus")
 
 
@@ -207,9 +207,9 @@ def test_supported_alphas_are_the_papers():
 def test_decompose_parses_strings_and_rejects_the_rest():
     assert decompose_rational("3/8", "minus") == decompose_rational(Fraction(3, 8), "minus")
     for alpha in ("7/12", "1/7", 0.2, Fraction(-1, 3)):
-        with pytest.raises(UnsupportedAlphaError):
+        with pytest.raises(ValueError, match="no decomposition for alpha="):
             decompose_rational(alpha, "plus")
-    with pytest.raises(UnsupportedAlphaError):
+    with pytest.raises(ValueError, match="no decomposition for alpha="):
         decompose_rational(Fraction(1, 3), "neither")
 
 
@@ -391,6 +391,21 @@ def test_euler_memo_is_keyed_and_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1
+
+
+def test_each_prime_table_is_sieved_once_per_call(monkeypatch):
+    # the small primes are a prefix of the table already sieved: one sieve
+    # for the layout's primes and one for squarefree_core's, one for the memo
+    calls = []
+    sieve = primes_mod.sieve_primes
+    monkeypatch.setattr(primes_mod, "sieve_primes", lambda limit: calls.append(limit) or sieve(limit))
+    rm._kernel_layout(10**5)
+    assert calls == [10**5, 316]
+    calls.clear()
+    rm._euler_memo.cache_clear()
+    small, _, _ = rm._euler_memo(0, 8, 1000)
+    assert calls == [1000]
+    assert small.tolist() == sieve(rm._DILATION_LIMIT).tolist()
 
 
 def test_euler_values_do_not_depend_on_call_order():

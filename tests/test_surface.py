@@ -127,3 +127,31 @@ def test_the_only_module_table_a_function_rebinds_is_the_class_number_table():
                for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Global)
                for name in node.names}
     assert rebound == {"charsum._forms"}
+
+
+def test_no_module_restates_its_names_in_all():
+    # nothing star-imports the package, so an __all__ list only repeats
+    # the names each module already defines
+    restated = [f"{path.relative_to(ROOT)}:{node.lineno}"
+                for path in PACKAGE.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Name) and node.id == "__all__"
+                and isinstance(node.ctx, ast.Store)]
+    assert not restated, "__all__ assigned at:\n" + "\n".join(restated)
+
+
+def test_every_exception_class_of_the_package_is_caught_by_the_program():
+    # a subclass nothing catches by name says no more than the ValueError it extends
+    trees = {path: ast.parse(path.read_text()) for path in PROGRAM}
+    caught = {name for tree in trees.values() for handler in ast.walk(tree)
+              if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+              for node in ast.walk(handler.type) for name in [_name(node)] if name}
+    defined = [
+        f"{path.relative_to(ROOT)}:{cls.lineno} {cls.name}"
+        for path, tree in trees.items() if path.parent == PACKAGE
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        and any(_name(base).endswith(("Error", "Exception", "Warning")) for base in cls.bases
+                if _name(base))
+        and cls.name not in caught
+    ]
+    assert not defined, "an exception class no except clause names:\n" + "\n".join(defined)
