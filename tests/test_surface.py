@@ -141,7 +141,7 @@ def test_no_module_restates_its_names_in_all():
 
 
 def test_every_exception_class_of_the_package_is_caught_by_the_program():
-    # a subclass nothing catches by name says no more than the ValueError it extends
+    # a subclass that nothing catches by name says no more than its base class
     trees = {path: ast.parse(path.read_text()) for path in PROGRAM}
     caught = {name for tree in trees.values() for handler in ast.walk(tree)
               if isinstance(handler, ast.ExceptHandler) and handler.type is not None
