@@ -5,8 +5,9 @@ The central quantity is L(alpha, p), the partial sum of (n/p) over
 arithmetic for every alpha, floats included: a float is a dyadic rational.
 Every count works on the squares k^2 for 1 <= k <= (p-1)/2, whose residues
 mod an odd prime p are the quadratic residues, each once, so that
-L(alpha, p) = 2 #{k : k^2 mod p <= m} - m.  A scan builds one table of
-squares and shares it across its primes, and counts in one of two ways:
+L(alpha, p) = 2 #{k : k^2 mod p <= m} - m.  A scan builds one read-only
+table of squares per dtype and shares it across its primes and threads, and
+counts in one of two ways:
 
 - Residues.  The squares are reduced mod p once per prime (three array
   passes) and compared with every cutoff (two passes per alpha).  Scans with
@@ -37,6 +38,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -72,17 +74,27 @@ def alpha_cutoff(alpha: Alpha, p):
 # the residue primitive
 
 _LAST_UINT32_PRIME = 2 * math.isqrt(np.iinfo(np.uint32).max) + 1  # 131071, the 12251st prime
+_BLOCK = 2**11  # the primes of a span whose cutoffs are held at once
 
 
 def _squares(h: int) -> np.ndarray:
-    """k^2 for 1 <= k <= h, in the narrowest unsigned dtype that holds h^2
-    (uint32 up to h = 65535, that is p <= 131071; uint64 above).
+    """k^2 for 1 <= k <= h, read-only, in the narrowest unsigned dtype that
+    holds h^2 (uint32 up to h = 65535, that is p <= 131071; uint64 above).
 
     The same dtype holds k^2 + 2h <= (h+1)^2 - 1, the largest value the floor
     count forms: at h = 65535 that is exactly 2^32 - 1."""
     dtype = np.uint32 if 2 * h + 1 <= _LAST_UINT32_PRIME else np.uint64
     k = np.arange(1, h + 1, dtype=dtype)
-    return np.multiply(k, k, out=k)
+    np.multiply(k, k, out=k)
+    k.flags.writeable = False
+    return k
+
+
+def _table(tables: list[np.ndarray], primes: np.ndarray) -> np.ndarray:
+    """k^2 for k <= (p-1)/2 and p the largest of primes: a view of the first
+    of tables that reaches that far."""
+    h = (int(primes[-1]) - 1) // 2
+    return next(t for t in tables if len(t) >= h)[:h]
 
 
 def _reduce_squares(squares: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
@@ -110,7 +122,7 @@ def legendre_sum(alpha: Alpha, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"legendre_sum needs a prime, got {p}")
-    return int(_scan_chunk(np.array([p]), np.array([[alpha_cutoff(alpha, p)]]))[0, 0])
+    return int(_scan_chunk([alpha], [_squares((p - 1) // 2)], np.array([p]))[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -135,44 +147,57 @@ class DensityReport:
     nonneg_3mod4: int
 
 
-def _scan_chunk(primes: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-    """L(alpha_j, p_i) for the chunk's primes: one row per row of cutoffs.
+def _scan_chunk(alphas, tables: list[np.ndarray], primes: np.ndarray) -> np.ndarray:
+    """L(alpha_j, p_i) for the chunk's primes from the residues, as an int64
+    array with one row per alpha.
 
-    One squares table serves the chunk, sized for its largest prime; the
-    residue and mask buffers belong to the calling thread.
+    The squares are read from the first of the shared tables that reaches
+    the chunk's largest prime (_table); the residue and mask buffers are the
+    chunk's own.  The primes are walked in blocks of _BLOCK, and a block's
+    cutoffs are computed when it is reached, so the chunk holds O(_BLOCK)
+    Python objects however many primes it counts.
     """
-    squares = _squares((int(primes[-1]) - 1) // 2)
+    squares = _table(tables, primes)
     residues = np.empty_like(squares)
     mask = np.empty(len(squares), dtype=bool)
-    sums = []
-    for p, ms in zip(primes.tolist(), cutoffs.T.tolist()):
-        if p == 2:  # L(alpha, 2) = 0 by convention (see DensityReport)
-            sums.append([0] * len(ms))
-            continue
-        r = _reduce_squares(squares, p, out=residues)
-        below = mask[: len(r)]
-        sums.append([2 * np.count_nonzero(np.less_equal(r, m, out=below)) - m for m in ms])
-    return np.array(sums, dtype=np.int64).T
+    sums = np.zeros((len(alphas), len(primes)), dtype=np.int64)
+    for a in range(0, len(primes), _BLOCK):
+        block = primes[a : a + _BLOCK]
+        cutoffs = np.stack([alpha_cutoff(alpha, block) for alpha in alphas], axis=1)
+        for i, (p, ms) in enumerate(zip(block.tolist(), cutoffs.tolist()), a):
+            if p == 2:  # L(alpha, 2) = 0 by convention (see DensityReport)
+                continue
+            r = _reduce_squares(squares, p, out=residues)
+            below = mask[: len(r)]
+            sums[:, i] = [2 * np.count_nonzero(np.less_equal(r, m, out=below)) - m for m in ms]
+    return sums
 
 
-def _floor_chunk(primes: np.ndarray, cutoffs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """L(alpha, p_i) for the chunk's primes and one alpha, from the floor sum.
+def _floor_chunk(alpha: Alpha, tables: list[np.ndarray], primes: np.ndarray,
+                 offsets: np.ndarray) -> np.ndarray:
+    """L(alpha, p_i) for the chunk's primes and one alpha, from the floor sum,
+    as an int64 array.
 
-    cutoffs[i] = floor(alpha p_i) and offsets[i] = B_{p_i} (_floor_offsets).
-    The sum over k is reduced in the table's own dtype and may wrap around,
-    which does no harm: the count it gives, after B_p is taken away modulo
-    the same power of two, lies in [0, (p-1)/2].
+    offsets[i] = B_{p_i} (_floor_offsets).  The squares, the buffer and the
+    blocks are as in _scan_chunk.  The sum over k is reduced in the table's
+    own dtype and may wrap around, which does no harm: the count it gives,
+    after B_p is taken away modulo the same power of two, lies in
+    [0, (p-1)/2].
     """
-    squares = _squares((int(primes[-1]) - 1) // 2)
+    squares = _table(tables, primes)
     shifted = np.empty_like(squares)
-    totals = np.zeros(len(primes), dtype=squares.dtype)
-    for i, (p, m) in enumerate(zip(primes.tolist(), cutoffs.tolist())):
-        h = (p - 1) // 2
-        t = np.add(squares[:h], p - 1 - m, out=shifted[:h])
-        np.floor_divide(t, p, out=t)
-        totals[i] = np.add.reduce(t, dtype=t.dtype)
-    above = (totals - offsets.astype(totals.dtype)).astype(np.int64)
-    sums = primes - 1 - cutoffs - 2 * above
+    sums = np.empty(len(primes), dtype=np.int64)
+    for a in range(0, len(primes), _BLOCK):
+        block = primes[a : a + _BLOCK]
+        cutoffs = alpha_cutoff(alpha, block)
+        totals = np.empty(len(block), dtype=squares.dtype)
+        for i, (p, m) in enumerate(zip(block.tolist(), cutoffs.tolist())):
+            h = (p - 1) // 2
+            t = np.add(squares[:h], p - 1 - m, out=shifted[:h])
+            np.floor_divide(t, p, out=t)
+            totals[i] = np.add.reduce(t, dtype=t.dtype)
+        above = (totals - offsets[a : a + _BLOCK].astype(totals.dtype)).astype(np.int64)
+        sums[a : a + _BLOCK] = block - 1 - cutoffs - 2 * above
     sums[primes == 2] = 0
     return sums
 
@@ -266,14 +291,30 @@ def _scan_spans(primes: np.ndarray, chunk, *columns, threads: int | None = None)
     return np.concatenate(parts, axis=-1)
 
 
+def _count_spans(primes: np.ndarray, chunk, *columns, threads: int | None = None) -> np.ndarray:
+    """_scan_spans of chunk(tables, span, *span_columns), with tables the
+    squares of the ascending primes, one read-only table per dtype: uint32
+    for the primes up to 131071 and, if the primes reach past it, uint64 up
+    to the largest.  Every span and worker reads the same tables and
+    allocates only its own buffers; the tables are dropped when the count
+    returns."""
+    h = (int(primes[-1]) - 1) // 2
+    small = _squares(min(h, _LAST_UINT32_PRIME // 2))
+    tables = [small] if len(small) == h else [small, _squares(h)]
+    return _scan_spans(primes, partial(chunk, tables), *columns, threads=threads)
+
+
 def density_sweep(alphas, sizes, threads: int | None = None) -> list[list[DensityReport]]:
     """Density reports for every alpha and every prime count, in one pass.
 
     One alpha is counted from the floor sum; several alphas from the
     residues, which the first max(sizes) primes are reduced to once each
-    (see the module docstring).  Each size is read off as a prefix of the
-    per-prime sums.  Returns reports[i][j] for alphas[i], sizes[j].  The
-    counts are integer-exact and independent of the thread count.
+    (see the module docstring).  One squares table per dtype serves every
+    span; each span computes its cutoffs a block of _BLOCK primes at a time,
+    so the sweep holds no cutoff list over all its primes, and its sums are
+    one int64 array.  Each size is read off as a prefix of those sums.
+    Returns reports[i][j] for alphas[i], sizes[j].  The counts are
+    integer-exact and independent of the thread count and the block size.
 
     The first 12251 primes (up to 131071) are counted on the calling thread,
     those above in at most threads workers, one per usable core by default
@@ -287,12 +328,11 @@ def density_sweep(alphas, sizes, threads: int | None = None) -> list[list[Densit
     if min(sizes) < 1:
         raise ValueError(f"prime counts must be >= 1, got {sizes}")
     primes = first_primes(max(sizes))
-    cutoffs = np.stack([alpha_cutoff(alpha, primes) for alpha in alphas])
     if len(alphas) == 1:
-        offsets = _floor_offsets(primes)
-        sums = _scan_spans(primes, _floor_chunk, cutoffs[0], offsets, threads=threads)[None]
+        chunk = partial(_floor_chunk, alphas[0])
+        sums = _count_spans(primes, chunk, _floor_offsets(primes), threads=threads)[None]
     else:
-        sums = _scan_spans(primes, _scan_chunk, cutoffs, threads=threads)
+        sums = _count_spans(primes, partial(_scan_chunk, alphas), threads=threads)
     mod4 = primes % 4
     return [[_tally(alpha, row[:n], mod4[:n]) for n in sizes] for alpha, row in zip(alphas, sums)]
 
@@ -332,7 +372,7 @@ def dirichlet_checks(max_p: int) -> list[DirichletCheck]:
     if max_p < 3:
         raise ValueError(f"dirichlet_checks needs max_p >= 3, got {max_p}")
     primes = primes_up_to(max_p)[1:]
-    sums = _scan_spans(primes, _scan_chunk, alpha_cutoff(Fraction(1, 2), primes)[None])[0]
+    sums = _count_spans(primes, partial(_scan_chunk, [Fraction(1, 2)]))[0]
     class_numbers = _class_numbers(primes)
     return [DirichletCheck(p=p, lhs=lhs, rhs=(2 - (1 if p % 8 in (1, 7) else -1)) * h,
                            excluded=p == 3)

@@ -102,10 +102,11 @@ def _cmd_density(args) -> tuple[str, int | str]:
 def _cmd_dirichlet(args) -> tuple[str, int]:
     checks = charsum.dirichlet_checks(args.max_p)
     failed = sum(not chk.ok for chk in checks)
+    if not args.all:
+        checks = [chk for chk in checks if not chk.ok or chk.excluded]
     rows = [{"p": chk.p, "lhs": chk.lhs, "rhs": chk.rhs,
              "excluded": chk.excluded, "ok": chk.ok} for chk in checks]
     if not args.all:
-        rows = [r for r in rows if not r["ok"] or r["excluded"]]
         rows.append({"p": "total", "lhs": "", "rhs": "",
                      "excluded": "", "ok": failed == 0})
     return _rows_to_text(rows, args.format), 1 if failed else 0

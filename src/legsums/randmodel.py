@@ -322,9 +322,16 @@ def _euler_sum(
         products = dict(zip(chis, computed))
     total = np.zeros(len(signs), dtype=complex)
     for t in terms:
-        core = int(squarefree_core(t.dilation)[t.dilation])  # X_d = X_core(d)
-        odd_primes = np.flatnonzero(core % primes == 0)
-        if np.prod(primes[odd_primes]) != core:
+        # X_d is the product of X_p over the primes p that divide d to an odd power
+        rest, odd_primes = t.dilation, []
+        for i in np.flatnonzero(t.dilation % primes == 0).tolist():
+            p = int(primes[i])
+            while rest % (p * p) == 0:
+                rest //= p * p
+            if rest % p == 0:
+                rest //= p
+                odd_primes.append(i)
+        if rest != 1:
             raise ValueError(f"dilation {t.dilation} has a prime factor outside the sign columns")
         x_d = np.prod(signs[:, odd_primes], axis=1, dtype=float)
         total += t.coeff / t.dilation * x_d * products[t.chi]

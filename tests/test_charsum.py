@@ -266,17 +266,18 @@ def test_squares_dtype_switch():
 def test_engine_matches_jacobi_prefix_at_dtype_switch(p):
     prefix = [0] + list(itertools.accumulate(jacobi(n, p) for n in range(1, p)))
     cuts = [0, 1, 2, (p - 1) // 2, p // 3, p - 2, p - 1]
-    sums = charsum._scan_chunk(np.array([p]), np.array([[m] for m in cuts]))
+    alphas = [Fraction(m, p) for m in cuts]  # the cutoff of m/p at p is m
+    sums = charsum._scan_chunk(alphas, [charsum._squares((p - 1) // 2)], np.array([p]))
     assert sums[:, 0].tolist() == [prefix[m] for m in cuts]
     # the same prime reduced from a wider (uint64) table gives the same sums
-    wide = charsum._scan_chunk(np.array([3, p, 262147]), np.array([[0, m, 0] for m in cuts]))
+    wide = charsum._scan_chunk(alphas, [charsum._squares(131073)], np.array([3, p, 262147]))
     assert wide[:, 1].tolist() == sums[:, 0].tolist()
     # each cut as a one-cutoff scan, which counts from the floor sum; at
     # p = 131071 and m = 0 its k^2 + p - 1 reaches 2^32 - 1, the uint32 limit
     for primes, i in ((np.array([p]), 0), (np.array([3, p, 262147]), 1)):
         offsets = charsum._floor_offsets(primes)
-        floors = [charsum._floor_chunk(primes, np.where(primes == p, m, 0), offsets)[i]
-                  for m in cuts]
+        tables = [charsum._squares((int(primes[-1]) - 1) // 2)]
+        floors = [charsum._floor_chunk(alpha, tables, primes, offsets)[i] for alpha in alphas]
         assert floors == [prefix[m] for m in cuts]
     squares = charsum._squares((p - 1) // 2)
     residues = charsum._reduce_squares(squares, p, np.empty_like(squares))
@@ -444,9 +445,10 @@ def test_class_number_table_grows_safely_under_threads(monkeypatch):
 def test_one_alpha_scan_memory(monkeypatch):
     # the scan's own sieve of the first 10^4 primes (0.2 MB), the squares
     # table and one buffer of (p-1)/2 uint32 each (about 0.2 MB at the
-    # 10^4th prime), the freshly sieved class number table (0.1 MB) and the
-    # per-prime cutoffs; the residue count's per-prime lists (3.1 MB) would
-    # not fit
+    # 10^4th prime), the freshly sieved class number table (0.1 MB), the
+    # int64 offsets and sums (0.08 MB each) and the cutoffs of one block of
+    # 2^11 primes; Python lists of the primes or cutoffs of every prime, or
+    # of every prime's sums, would not fit
     monkeypatch.setattr(charsum, "_forms", np.zeros(0, dtype=np.int32))
     tracemalloc.start()
     try:
@@ -457,3 +459,36 @@ def test_one_alpha_scan_memory(monkeypatch):
         tracemalloc.stop()
     assert len(charsum._forms) > 0
     assert peak < 2 * 2**20
+
+
+FIVE_ALPHAS = [Fraction(2, 5), Fraction(3, 8), Fraction(1, 12), 0.15915494309189535,
+               0.36787944117144233]
+
+
+def test_five_alpha_sweep_memory():
+    # the density table's sweep over 10^3 and 10^4 primes: the sweep's own
+    # sieve (0.2 MB), the uint32 squares table and its residue and mask
+    # buffers (0.5 MB together at the 10^4th prime), the 5 x 10^4 int64
+    # sums and their joined copy (0.4 MB each) and one block's cutoffs; a
+    # Python list of every prime's cutoffs or sums (about 4 MB) would not fit
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        density_sweep(FIVE_ALPHAS, [10**3, 10**4])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
+@pytest.mark.parametrize("alphas", [FIVE_ALPHAS[:1], FIVE_ALPHAS])
+def test_sweep_does_not_depend_on_the_block_size(monkeypatch, alphas):
+    # 12300 primes cross the default block of 2^11 primes and 131071, the
+    # 12251st prime, where the uint32 squares give way to uint64; in blocks
+    # of 3 primes every span ends in a short block, and one alpha counts from
+    # the floor sum, several from the residues
+    sizes = [1, 2, 3, 4, 2048, 2049, 12251, 12252, 12300]
+    default = density_sweep(alphas, sizes)
+    monkeypatch.setattr(charsum, "_BLOCK", 3)
+    assert density_sweep(alphas, sizes) == default
+    assert density_sweep(alphas, sizes, threads=1) == default

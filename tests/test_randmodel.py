@@ -457,6 +457,25 @@ def test_dilation_outside_the_sign_columns_raises():
     signs = rm.prime_sign_matrix(np.arange(4), primes)
     with pytest.raises(ValueError, match="dilation 5"):
         rm._euler_sum((rm.Term(1, reference.CHI_0_2, 5),), signs, primes, 3)
+    # a square outside the columns is a prime factor outside them too
+    with pytest.raises(ValueError, match="dilation 50"):
+        rm._euler_sum((rm.Term(1, reference.CHI_0_2, 50),), signs, primes, 3)
+
+
+def test_x_d_is_read_from_the_dilation_without_a_sieve(monkeypatch):
+    # X_d for every dilation up to 12 from d's factorisation over the sign
+    # columns, against trial division; no prime table is sieved for it
+    calls = []
+    sieve = primes_mod.sieve_primes
+    monkeypatch.setattr(primes_mod, "sieve_primes", lambda limit: calls.append(limit) or sieve(limit))
+    primes = np.array([2, 3, 5, 7, 11])
+    signs = rm.prime_sign_matrix(np.arange(64), primes)
+    chi = reference.CHI_0_2
+    one = rm._euler_sum((rm.Term(1, chi),), signs, primes, 11)
+    for d in range(1, 13):
+        x_d = [x_of(d, lambda p: int(row[primes == p][0])) for row in signs]
+        assert (rm._euler_sum((rm.Term(1, chi, d),), signs, primes, 11) == np.array(x_d) / d * one).all()
+    assert calls == []
 
 
 @pytest.mark.parametrize("alpha,strict", [(Fraction(1, 12), 0.7511), (Fraction(5, 12), 0.4232)])
