@@ -102,10 +102,9 @@ def _cmd_density(args) -> tuple[str, int | str]:
 def _cmd_dirichlet(args) -> tuple[str, int]:
     checks = charsum.dirichlet_checks(args.max_p)
     failed = sum(not chk.ok for chk in checks)
-    if not args.all:
-        checks = [chk for chk in checks if not chk.ok or chk.excluded]
+    shown = checks if args.all else [chk for chk in checks if not chk.ok or chk.excluded]
     rows = [{"p": chk.p, "lhs": chk.lhs, "rhs": chk.rhs,
-             "excluded": chk.excluded, "ok": chk.ok} for chk in checks]
+             "excluded": chk.excluded, "ok": chk.ok} for chk in shown]
     if not args.all:
         rows.append({"p": "total", "lhs": "", "rhs": "",
                      "excluded": "", "ok": failed == 0})
