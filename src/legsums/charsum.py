@@ -269,7 +269,8 @@ def _scan_spans(primes: np.ndarray, chunk, *columns, threads: int | None = None)
     covering the ascending primes, joined in order on the last axis: the
     primes up to 131071 (uint32 squares) in one span on the calling thread,
     those above in four spans per worker over min(threads, usable cores)
-    workers, or in one more span on the calling thread for one worker."""
+    workers, or in one more span on the calling thread for one worker.  The
+    counting chunks come from _count_spans, bound to its shared tables."""
     def scan(a, b):
         return chunk(primes[a:b], *(c[..., a:b] for c in columns))
 
