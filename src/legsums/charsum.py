@@ -5,9 +5,11 @@ The central quantity is L(alpha, p), the partial sum of (n/p) over
 arithmetic for every alpha, floats included: a float is a dyadic rational.
 Every count works on the squares k^2 for 1 <= k <= (p-1)/2, whose residues
 mod an odd prime p are the quadratic residues, each once, so that
-L(alpha, p) = 2 #{k : k^2 mod p <= m} - m.  A scan builds one read-only
-table of squares per dtype and shares it across its primes and threads, and
-counts in one of two ways:
+L(alpha, p) = 2 #{k : k^2 mod p <= m} - m.  One driver, _count_spans,
+cuts a scan's primes into spans at 131071 and builds the read-only tables of
+squares: one uint32 table for the span up to 131071, on the calling thread,
+and one uint64 table that every span above shares across threads.  Each
+span counts in one of two ways:
 
 - Residues.  The squares are reduced mod p once per prime (three array
   passes) and compared with every cutoff (two passes per alpha).  Scans with
@@ -23,7 +25,7 @@ counts in one of two ways:
 
 dirichlet_checks checks that table: it counts the half-length sums of every
 odd prime up to a bound from the residues, which read no class number, and
-compares them with L(1/2, p) = (2 - (2/p)) h(-p), read from the table.
+returns them beside L(1/2, p) = (2 - (2/p)) h(-p), read from the table.
 
 The floor sum costs three passes per alpha against the residues' two, so it
 would slow a scan with several alphas, and sieving the class numbers up to
@@ -90,13 +92,6 @@ def _squares(h: int) -> np.ndarray:
     return k
 
 
-def _table(tables: list[np.ndarray], primes: np.ndarray) -> np.ndarray:
-    """k^2 for k <= (p-1)/2 and p the largest of primes: a view of the first
-    of tables that reaches that far."""
-    h = (int(primes[-1]) - 1) // 2
-    return next(t for t in tables if len(t) >= h)[:h]
-
-
 def _reduce_squares(squares: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     """k^2 mod p for 1 <= k <= (p-1)/2, written into out[:(p-1)/2].
 
@@ -122,7 +117,7 @@ def legendre_sum(alpha: Alpha, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"legendre_sum needs a prime, got {p}")
-    return int(_scan_chunk([alpha], [_squares((p - 1) // 2)], np.array([p]))[0, 0])
+    return int(_scan_chunk([alpha], _squares((p - 1) // 2), np.array([p]))[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -147,17 +142,17 @@ class DensityReport:
     nonneg_3mod4: int
 
 
-def _scan_chunk(alphas, tables: list[np.ndarray], primes: np.ndarray) -> np.ndarray:
+def _scan_chunk(alphas, squares: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """L(alpha_j, p_i) for the chunk's primes from the residues, as an int64
     array with one row per alpha.
 
-    The squares are read from the first of the shared tables that reaches
-    the chunk's largest prime (_table); the residue and mask buffers are the
-    chunk's own.  The primes are walked in blocks of _BLOCK, and a block's
-    cutoffs are computed when it is reached, so the chunk holds O(_BLOCK)
-    Python objects however many primes it counts.
+    squares is a shared table (_squares) that reaches the chunk's largest
+    prime; the chunk reads it up to that prime, and the residue and mask
+    buffers are its own.  The primes are walked in blocks of _BLOCK, and a
+    block's cutoffs are computed when it is reached, so the chunk holds
+    O(_BLOCK) Python objects however many primes it counts.
     """
-    squares = _table(tables, primes)
+    squares = squares[: (int(primes[-1]) - 1) // 2]
     residues = np.empty_like(squares)
     mask = np.empty(len(squares), dtype=bool)
     sums = np.zeros((len(alphas), len(primes)), dtype=np.int64)
@@ -173,7 +168,7 @@ def _scan_chunk(alphas, tables: list[np.ndarray], primes: np.ndarray) -> np.ndar
     return sums
 
 
-def _floor_chunk(alpha: Alpha, tables: list[np.ndarray], primes: np.ndarray,
+def _floor_chunk(alpha: Alpha, squares: np.ndarray, primes: np.ndarray,
                  offsets: np.ndarray) -> np.ndarray:
     """L(alpha, p_i) for the chunk's primes and one alpha, from the floor sum,
     as an int64 array.
@@ -184,7 +179,7 @@ def _floor_chunk(alpha: Alpha, tables: list[np.ndarray], primes: np.ndarray,
     after B_p is taken away modulo the same power of two, lies in
     [0, (p-1)/2].
     """
-    squares = _table(tables, primes)
+    squares = squares[: (int(primes[-1]) - 1) // 2]
     shifted = np.empty_like(squares)
     sums = np.empty(len(primes), dtype=np.int64)
     for a in range(0, len(primes), _BLOCK):
@@ -264,23 +259,29 @@ def _tally(alpha: Alpha, sums: np.ndarray, mod4: np.ndarray) -> DensityReport:
     return DensityReport(alpha, len(sums), *(int(np.count_nonzero(m)) for m in masks))
 
 
-def _scan_spans(primes: np.ndarray, chunk, *columns, threads: int | None = None) -> np.ndarray:
-    """chunk(primes[a:b], *(c[..., a:b] for c in columns)) over spans [a, b)
-    covering the ascending primes, joined in order on the last axis: the
-    primes up to 131071 (uint32 squares) in one span on the calling thread,
-    those above in four spans per worker over min(threads, usable cores)
-    workers, or in one more span on the calling thread for one worker.  The
-    counting chunks come from _count_spans, bound to its shared tables."""
-    def scan(a, b):
-        return chunk(primes[a:b], *(c[..., a:b] for c in columns))
+def _count_spans(primes: np.ndarray, chunk, *columns, threads: int | None = None) -> np.ndarray:
+    """chunk(squares, primes[a:b], *(c[..., a:b] for c in columns)) over spans
+    [a, b) covering the ascending primes, joined in order on the last axis.
+
+    The primes up to 131071 are one span on the calling thread, and their
+    squares one uint32 table up to the largest of them.  Those above share
+    one uint64 table up to the largest prime, in four spans per worker over
+    min(threads, usable cores) workers, or in one more span on the calling
+    thread for one worker.  The tables are read-only (_squares): each span
+    allocates only its own buffers, and the tables are dropped when the
+    count returns.
+    """
+    def scan(squares, a, b):
+        return chunk(squares, primes[a:b], *(c[..., a:b] for c in columns))
 
     split, n = int(np.searchsorted(primes, _LAST_UINT32_PRIME, side="right")), len(primes)
-    parts = [scan(0, split)] if split else []
+    parts = [scan(_squares((int(primes[split - 1]) - 1) // 2), 0, split)] if split else []
     if split < n:
+        wide = _squares((int(primes[-1]) - 1) // 2)
         cores = len(os.sched_getaffinity(0))
         workers = cores if threads is None else min(threads, cores)
         if workers <= 1:
-            parts.append(scan(split, n))
+            parts.append(scan(wide, split, n))
         else:
             # a prime costs O(p): spans of equal sums of p keep the workers even
             work = np.cumsum(primes[split:])
@@ -288,21 +289,8 @@ def _scan_spans(primes: np.ndarray, chunk, *columns, threads: int | None = None)
             bounds = [split, *cuts.tolist(), n]
             spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts += pool.map(lambda span: scan(*span), spans)
+                parts += pool.map(lambda span: scan(wide, *span), spans)
     return np.concatenate(parts, axis=-1)
-
-
-def _count_spans(primes: np.ndarray, chunk, *columns, threads: int | None = None) -> np.ndarray:
-    """_scan_spans of chunk(tables, span, *span_columns), with tables the
-    squares of the ascending primes, one read-only table per dtype: uint32
-    for the primes up to 131071 and, if the primes reach past it, uint64 up
-    to the largest.  Every span and worker reads the same tables and
-    allocates only its own buffers; the tables are dropped when the count
-    returns."""
-    h = (int(primes[-1]) - 1) // 2
-    small = _squares(min(h, _LAST_UINT32_PRIME // 2))
-    tables = [small] if len(small) == h else [small, _squares(h)]
-    return _scan_spans(primes, partial(chunk, tables), *columns, threads=threads)
 
 
 def density_sweep(alphas, sizes, threads: int | None = None) -> list[list[DensityReport]]:
@@ -310,16 +298,17 @@ def density_sweep(alphas, sizes, threads: int | None = None) -> list[list[Densit
 
     One alpha is counted from the floor sum; several alphas from the
     residues, which the first max(sizes) primes are reduced to once each
-    (see the module docstring).  One squares table per dtype serves every
-    span; each span computes its cutoffs a block of _BLOCK primes at a time,
-    so the sweep holds no cutoff list over all its primes, and its sums are
-    one int64 array.  Each size is read off as a prefix of those sums.
-    Returns reports[i][j] for alphas[i], sizes[j].  The counts are
-    integer-exact and independent of the thread count and the block size.
+    (see the module docstring).  One squares table per dtype serves the
+    spans on its side of 131071; each span computes its cutoffs a block of
+    _BLOCK primes at a time, so the sweep holds no cutoff list over all its
+    primes, and its sums are one int64 array.  Each size is read off as a
+    prefix of those sums.  Returns reports[i][j] for alphas[i], sizes[j].
+    The counts are integer-exact and independent of the thread count and
+    the block size.
 
     The first 12251 primes (up to 131071) are counted on the calling thread,
     those above in at most threads workers, one per usable core by default
-    (_scan_spans).  On 2 cores five alphas over 10^4 and 3*10^4 primes took
+    (_count_spans).  On 2 cores five alphas over 10^4 and 3*10^4 primes took
     0.63 and 7.5 s so; as one span on one thread 0.66 and 12.6 s, and split
     into 16 spans at threads=4 1.39 and 8.3 s (medians of 3 processes).
     """
@@ -328,6 +317,8 @@ def density_sweep(alphas, sizes, threads: int | None = None) -> list[list[Densit
         raise ValueError("need at least one alpha and one prime count")
     if min(sizes) < 1:
         raise ValueError(f"prime counts must be >= 1, got {sizes}")
+    for alpha in alphas:  # alpha_cutoff rejects an alpha outside [0, 1), before any sieve
+        alpha_cutoff(alpha, 0)
     primes = first_primes(max(sizes))
     if len(alphas) == 1:
         chunk = partial(_floor_chunk, alphas[0])
@@ -343,38 +334,22 @@ def density_scan(alpha: Alpha, num_primes: int, threads: int | None = None) -> D
     return density_sweep([alpha], [num_primes], threads=threads)[0][0]
 
 
-@dataclass(frozen=True)
-class DirichletCheck:
-    """Both sides of the class-number identity for the half-length sum."""
+def dirichlet_checks(max_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides of the class-number identity for the half-length sum at
+    every odd prime p <= max_p: the primes, L(1/2, p) and (2 - (2/p)) h(-p),
+    as three int64 arrays.
 
-    p: int
-    lhs: int
-    rhs: int
-    excluded: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.excluded or self.lhs == self.rhs
-
-
-def dirichlet_checks(max_p: int) -> list[DirichletCheck]:
-    """Verify the half-length sum against the class-number formula at every
-    odd prime p <= max_p.
-
-    For p ≡ 1 (mod 4) the sum is 0; for p ≡ 3 (mod 4) it equals
+    For p ≡ 1 (mod 4) the sum is 0; for p ≡ 3 (mod 4), p > 3, it equals
     (2 - (2/p)) * h(-p), where (2/p) is +1 for p ≡ ±1 (mod 8) and -1
     otherwise.  The sums come from a residue count, which reads no
     class number, split over threads as in density_sweep: at max_p = 300000
     it took 3.1 s on 2 cores, against 5.0 s as one serial count.  h(-p)
-    comes from the table the one-alpha scans read.  p = 3 is excluded (the
-    identity as written needs p > 3: the two sides are 1 and 3 there) and
-    flagged, not failed.
+    comes from the table the one-alpha scans read.  At p = 3 the identity
+    as written does not hold (the two sides are 1 and 3): a caller
+    excludes it.
     """
     if max_p < 3:
         raise ValueError(f"dirichlet_checks needs max_p >= 3, got {max_p}")
     primes = primes_up_to(max_p)[1:]
     sums = _count_spans(primes, partial(_scan_chunk, [Fraction(1, 2)]))[0]
-    class_numbers = _class_numbers(primes)
-    return [DirichletCheck(p=p, lhs=lhs, rhs=(2 - (1 if p % 8 in (1, 7) else -1)) * h,
-                           excluded=p == 3)
-            for p, lhs, h in zip(primes.tolist(), sums.tolist(), class_numbers.tolist())]
+    return primes, sums, np.where(np.isin(primes % 8, (1, 7)), 1, 3) * _class_numbers(primes)

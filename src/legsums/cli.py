@@ -100,15 +100,15 @@ def _cmd_density(args) -> tuple[str, int | str]:
 
 
 def _cmd_dirichlet(args) -> tuple[str, int]:
-    checks = charsum.dirichlet_checks(args.max_p)
-    failed = sum(not chk.ok for chk in checks)
-    shown = checks if args.all else [chk for chk in checks if not chk.ok or chk.excluded]
-    rows = [{"p": chk.p, "lhs": chk.lhs, "rhs": chk.rhs,
-             "excluded": chk.excluded, "ok": chk.ok} for chk in shown]
+    primes, lhs, rhs = charsum.dirichlet_checks(args.max_p)
+    excluded = primes == 3  # the identity needs p > 3: flagged, not failed
+    ok = excluded | (lhs == rhs)
+    shown = slice(None) if args.all else excluded | ~ok
+    rows = [{"p": p, "lhs": a, "rhs": b, "excluded": e, "ok": o} for p, a, b, e, o
+            in zip(*(c[shown].tolist() for c in (primes, lhs, rhs, excluded, ok)))]
     if not args.all:
-        rows.append({"p": "total", "lhs": "", "rhs": "",
-                     "excluded": "", "ok": failed == 0})
-    return _rows_to_text(rows, args.format), 1 if failed else 0
+        rows.append({"p": "total", "lhs": "", "rhs": "", "excluded": "", "ok": bool(ok.all())})
+    return _rows_to_text(rows, args.format), 0 if ok.all() else 1
 
 
 def _cmd_fourier_check(args) -> tuple[str, int]:

@@ -74,6 +74,13 @@ def prime_factors(n: int) -> list[int]:
     return factors + [n] if n > 1 else factors
 
 
+def squarefree_core(n: int) -> int:
+    """The squarefree d with n = d s^2: the product of the primes that
+    divide n >= 1 to an odd power."""
+    factors = prime_factors(n)
+    return math.prod(p for p in set(factors) if factors.count(p) % 2)
+
+
 # --------------------------------------------------------------------------
 # the decomposition rows typed by hand, the oracle for decompose_rational
 

@@ -74,10 +74,10 @@ def test_criterion_1_density_100000(alpha, expected):
 # 2. class-number identity
 
 def test_criterion_2_dirichlet_identity():
-    checks = dirichlet_checks(2000)
-    assert [chk.p for chk in checks] == primes_up_to(2000).tolist()[1:]
-    for chk in checks[1:]:
-        assert chk.lhs == chk.rhs, chk.p
+    primes, lhs, rhs = dirichlet_checks(2000)
+    assert primes.tolist() == primes_up_to(2000).tolist()[1:]
+    for p, left, right in zip(primes.tolist()[1:], lhs.tolist()[1:], rhs.tolist()[1:]):
+        assert left == right, p
 
 
 # --------------------------------------------------------------------------

@@ -167,11 +167,25 @@ def test_pool_spans_carry_equal_work(monkeypatch):
     monkeypatch.setattr(charsum.os, "sched_getaffinity", lambda pid: {0, 1})
     primes = first_primes(100_000)
     index = np.arange(len(primes))
-    assert (charsum._scan_spans(primes, lambda p, i: i, index) == index).all()
+    tables = []
+
+    def spy(squares, span, i):
+        tables.append((squares, span))
+        return i
+
+    assert (charsum._count_spans(primes, spy, index) == index).all()
     (pool,) = SerialPool.pools
     work = [int(primes[a:b].sum()) for a, b in pool.spans]
     assert pool.max_workers == 2 and len(work) == 8
     assert max(work) - min(work) < 2 * int(primes[-1])
+    # the serial span reads a uint32 table that reaches its largest prime,
+    # 131071; every span above it reads the same uint64 table
+    (serial, first), *above = tables
+    assert first[-1] == 131071
+    assert serial.dtype == np.uint32 and len(serial) == (131071 - 1) // 2
+    (wide, _), *rest = above
+    assert len(above) == 8 and all(table is wide for table, _ in rest)
+    assert wide.dtype == np.uint64 and len(wide) == (int(primes[-1]) - 1) // 2
 
 
 @pytest.mark.parametrize("alphas", [[Fraction(2, 5)], [Fraction(2, 5), Fraction(3, 8)]])
@@ -191,8 +205,9 @@ def test_dirichlet_checks_do_not_depend_on_usable_cores(monkeypatch):
     for cores in (1, 4):
         monkeypatch.setattr(charsum.os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
         checks.append(dirichlet_checks(140000))
-    assert checks[0] == checks[1]
-    assert all(c.ok for c in checks[0])
+    assert all(np.array_equal(one, four) for one, four in zip(*checks))
+    primes, lhs, rhs = checks[0]
+    assert ((lhs == rhs) | (primes == 3)).all()
 
 
 def test_density_scan_mod4_split_consistent():
@@ -212,23 +227,28 @@ def test_class_number_known_values():
     assert charsum._class_numbers(np.array(primes)).tolist() == [known[p] for p in primes]
 
 
-def test_dirichlet_check_p3_excluded():
-    (chk,) = dirichlet_checks(3)
-    assert chk.p == 3
-    assert chk.excluded and chk.ok
-    assert chk.lhs == 1 and chk.rhs == 3
-    assert not any(c.excluded for c in dirichlet_checks(200) if c.p != 3)
+def test_dirichlet_check_p3_excluded(capsys):
+    primes, lhs, rhs = dirichlet_checks(3)
+    assert primes.tolist() == [3]
+    assert lhs.tolist() == [1] and rhs.tolist() == [3]
+    # the command flags p = 3 as excluded, which passes, and no other prime
+    assert main(["dirichlet", "--max-p", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "3,1,3,True,True"
+    assert main(["dirichlet", "--max-p", "200", "--all"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows if ",True," in row] == ["3"]
 
 
 def test_dirichlet_check_sample():
-    checks = {chk.p: chk for chk in dirichlet_checks(1999)}
-    assert list(checks) == primes_up_to(1999).tolist()[1:]
+    primes, lhs, rhs = dirichlet_checks(1999)
+    assert primes.tolist() == primes_up_to(1999).tolist()[1:]
+    checks = dict(zip(primes.tolist(), zip(lhs.tolist(), rhs.tolist())))
     for p in (5, 7, 11, 13, 23, 1999):
-        assert checks[p].ok
-        assert checks[p].lhs == legendre_sum(Fraction(1, 2), p)
-    assert checks[5].rhs == 0
-    assert checks[11].rhs == 3 * 1  # (2/11) = -1, h(-11) = 1
-    assert checks[23].rhs == 1 * 3  # (2/23) = 1, h(-23) = 3
+        assert checks[p][0] == checks[p][1]
+        assert checks[p][0] == legendre_sum(Fraction(1, 2), p)
+    assert checks[5][1] == 0
+    assert checks[11][1] == 3 * 1  # (2/11) = -1, h(-11) = 1
+    assert checks[23][1] == 1 * 3  # (2/23) = 1, h(-23) = 3
 
 
 def _mean_symbol(n, x, residue):
@@ -267,17 +287,17 @@ def test_engine_matches_jacobi_prefix_at_dtype_switch(p):
     prefix = [0] + list(itertools.accumulate(jacobi(n, p) for n in range(1, p)))
     cuts = [0, 1, 2, (p - 1) // 2, p // 3, p - 2, p - 1]
     alphas = [Fraction(m, p) for m in cuts]  # the cutoff of m/p at p is m
-    sums = charsum._scan_chunk(alphas, [charsum._squares((p - 1) // 2)], np.array([p]))
+    sums = charsum._scan_chunk(alphas, charsum._squares((p - 1) // 2), np.array([p]))
     assert sums[:, 0].tolist() == [prefix[m] for m in cuts]
     # the same prime reduced from a wider (uint64) table gives the same sums
-    wide = charsum._scan_chunk(alphas, [charsum._squares(131073)], np.array([3, p, 262147]))
+    wide = charsum._scan_chunk(alphas, charsum._squares(131073), np.array([3, p, 262147]))
     assert wide[:, 1].tolist() == sums[:, 0].tolist()
     # each cut as a one-cutoff scan, which counts from the floor sum; at
     # p = 131071 and m = 0 its k^2 + p - 1 reaches 2^32 - 1, the uint32 limit
     for primes, i in ((np.array([p]), 0), (np.array([3, p, 262147]), 1)):
         offsets = charsum._floor_offsets(primes)
-        tables = [charsum._squares((int(primes[-1]) - 1) // 2)]
-        floors = [charsum._floor_chunk(alpha, tables, primes, offsets)[i] for alpha in alphas]
+        squares = charsum._squares((int(primes[-1]) - 1) // 2)
+        floors = [charsum._floor_chunk(alpha, squares, primes, offsets)[i] for alpha in alphas]
         assert floors == [prefix[m] for m in cuts]
     squares = charsum._squares((p - 1) // 2)
     residues = charsum._reduce_squares(squares, p, np.empty_like(squares))
@@ -338,6 +358,17 @@ def test_density_sweep_rejects_bad_input():
         dirichlet_checks(2)
 
 
+def test_density_sweep_rejects_a_bad_alpha_before_any_sieve(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("a sieve ran")
+
+    monkeypatch.setattr(charsum, "first_primes", refuse)
+    monkeypatch.setattr(charsum, "_count_reduced_forms", refuse)
+    for alphas, sizes in (([1.5], [10**5]), ([0.5, 1.5], [10])):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            density_sweep(alphas, sizes)
+
+
 # --------------------------------------------------------------------------
 # the floor-sum count of one-alpha scans
 
@@ -387,11 +418,12 @@ def test_class_number_table_is_sieved_once_per_growth(monkeypatch):
                         lambda limit: sieved.append(limit) or sieve(limit))
     # dirichlet_checks sieves up to its largest prime, and reads the same
     # table as the scans do
-    assert dirichlet_checks(2000)[-1].p == 1999
+    assert dirichlet_checks(2000)[0][-1] == 1999
     assert sieved == [1999]
     for n in (1000, 10**4, 10**4, 1000, 10**4):
         density_scan(Fraction(2, 5), n)
-    assert dirichlet_checks(2000)[-1].ok
+    primes, lhs, rhs = dirichlet_checks(2000)
+    assert lhs[-1] == rhs[-1]
     assert sieved == [1999, 7919, 104729]
 
 

@@ -20,7 +20,6 @@ from legsums.randmodel import (
     estimate_positivity,
     moment_direct,
     sample_series_matrix,
-    squarefree_core,
     xi_statistics,
 )
 import reference
@@ -395,12 +394,12 @@ def test_euler_memo_is_keyed_and_read_only():
 
 def test_each_prime_table_is_sieved_once_per_call(monkeypatch):
     # the small primes are a prefix of the table already sieved: one sieve
-    # for the layout's primes and one for squarefree_core's, one for the memo
+    # for the layout's primes, one for the memo
     calls = []
     sieve = primes_mod.sieve_primes
     monkeypatch.setattr(primes_mod, "sieve_primes", lambda limit: calls.append(limit) or sieve(limit))
     rm._kernel_layout(10**5)
-    assert calls == [10**5, 316]
+    assert calls == [10**5]
     calls.clear()
     rm._euler_memo.cache_clear()
     rm._euler_memo(0, 8, 1000)
@@ -617,7 +616,7 @@ def test_kernel_layout_rows_follow_their_factorisations(N):
 
 def test_kernel_layout_dtypes():
     layout = rm._kernel_layout(10**4)
-    for table in (layout.kernels, layout.large, layout.row_of, squarefree_core(10**4)):
+    for table in (layout.kernels, layout.large, layout.row_of):
         assert table.dtype == np.int32
     for index in (layout.spf_row, layout.rest_row, layout.m_rows) + layout.groups:
         assert index.dtype == np.intp  # gathered on every batch
@@ -920,12 +919,6 @@ def test_conditioning_matters():
 
 # --------------------------------------------------------------------------
 # moments
-
-def test_squarefree_core():
-    core = squarefree_core(100)
-    assert core[1] == 1 and core[4] == 1 and core[12] == 3
-    assert core[72] == 2 and core[100] == 1 and core[60] == 15
-
 
 def test_block_convolution_keys_do_not_wrap():
     # 46349 * 46351 = 2148322499 is past 2^31 - 1, so int32 keys would wrap
