@@ -462,12 +462,12 @@ def _kernel_layout(N: int) -> _KernelLayout:
     large = np.concatenate([np.ones(smooth, dtype), *q_runs])
     row_of = np.zeros(N + 1, dtype=dtype)  # the row of each kernel d, then of each n = d s^2
     row_of[kernels] = np.arange(len(kernels), dtype=dtype)
-    d = np.sort(kernels)
-    squares = np.arange(2, math.isqrt(N) + 1, dtype=dtype) ** 2
-    counts = np.searchsorted(d, N // squares, side="right")  # the d <= N / s^2 of each s
-    for square, count in zip(squares.tolist(), counts.tolist()):
-        row_of[d[:count] * square] = row_of[d[:count]]
-    del d  # freed before the groups are built: 2.3 MiB of the peak at N = 10^6
+    is_kernel = np.zeros(N + 1, dtype=bool)
+    is_kernel[kernels] = True
+    for s in range(2, math.isqrt(N) + 1):
+        d = np.flatnonzero(is_kernel[: N // (s * s) + 1])
+        row_of[d * (s * s)] = row_of[d]
+    del is_kernel  # 1 byte per n, freed before the groups, which set the call's peak
     starts = smooth + np.cumsum(runs) - runs
     groups = []
     while len(starts):
