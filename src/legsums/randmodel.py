@@ -430,9 +430,10 @@ def _kernel_layout(N: int) -> _KernelLayout:
     level then sorted by d.  The m Q rows follow, m by m in increasing
     order, Q over the primes in (sqrt(N), N / m].  Then row_of: each n is
     d s^2 for one kernel d, so it holds first the row of each kernel, then,
-    s by s, the row of d at every d s^2 <= N.  It is the only table over
-    0 .. N, in _index_dtype(N): at N = 10^6 the call peaks at 20.2 MiB
-    under tracemalloc and keeps 16.2 MiB."""
+    s by s, the row of d at every d s^2 <= N, with the d read from a byte
+    mask of the kernels.  row_of is the only table over 0 .. N the layout
+    keeps, in _index_dtype(N): at N = 10^6 the call peaks at 20.2 MiB under
+    tracemalloc and keeps 16.2 MiB."""
     dtype = _index_dtype(N)
     primes = primes_up_to(N)
     small = primes[: np.searchsorted(primes, math.isqrt(N), side="right")].astype(dtype)
