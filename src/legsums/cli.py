@@ -398,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "in one pass that hashes the signs in blocks whose float64 copy is "
                        "256 KiB (195 samples at cutoff 1000, 26 at 10^4) and keeps no "
                        "samples x pi(cutoff) block, so memory grows by about 280 bytes per "
-                       "added sample: at cutoff 10^4 the first pair peaks at 1.3 MiB under "
-                       "tracemalloc for 1000 or 4000 samples and 4.5 MiB for 16000.")
+                       "added sample: at cutoff 10^4 the first pair peaks at 0.95 MiB under "
+                       "tracemalloc for 1000 samples, 1.4 MiB for 4000 and 4.5 MiB for 16000.")
     p.add_argument("--samples", type=_int_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prime-cutoff", type=_int_at_least(2), default=1000)

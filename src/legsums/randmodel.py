@@ -281,21 +281,21 @@ def _euler_memo(
     sign columns (which X_d reads), and the Euler product at the prime
     cutoff of each character mod a supported denominator.
 
-    One pass over the seeds, a block of rows at a time (_euler_products),
-    fills the products in one fixed order, so a product never depends on
-    which pair asked first; no samples × primes sign block outlives its
-    rows.  Every caller reads the same arrays, so they are read-only.
+    The sign columns are one prime_sign_matrix call on the small primes.
+    The products are one pass over the seeds (_euler_products), which
+    hashes a block of rows on every prime, reads it and drops it, and fills
+    the products in one fixed order, so a product never depends on which
+    pair asked first and no samples × primes sign block is kept.  Every
+    caller reads the same arrays, so they are read-only.
     """
     primes = primes_up_to(max(prime_cutoff, _DILATION_LIMIT))
     small = primes[: np.searchsorted(primes, _DILATION_LIMIT, side="right")]
-    signs = np.empty((samples, len(small)), dtype=np.int8)
+    signs = prime_sign_matrix(_seeds(seed0, 0, samples), small)
+    chis = tuple(dict.fromkeys(chi for m in _DENOMINATORS for chi in _characters(m)))
 
     def rows(start: int, stop: int) -> np.ndarray:
-        block = prime_sign_matrix(_seeds(seed0, start, stop), primes)
-        signs[start:stop] = block[:, : len(small)]
-        return block
+        return prime_sign_matrix(_seeds(seed0, start, stop), primes)
 
-    chis = tuple(dict.fromkeys(chi for m in _DENOMINATORS for chi in _characters(m)))
     products = dict(zip(chis, _euler_products(chis, primes, prime_cutoff, samples, rows)))
     for array in (signs, *products.values()):
         array.flags.writeable = False
@@ -310,30 +310,29 @@ def _euler_sum(
     products: dict | None = None,
 ) -> np.ndarray:
     """sum of coeff * X_d / d * prod_{p <= P} (1 - chi(p) X_p / p)^{-1} over
-    the terms (complex), per row of int8 sign columns on the given primes,
-    X_d read from those columns.  The products are given by character (the
-    memo's), or else computed over these rows by _euler_products (a pinned
-    or twisted sample, or a row of characters outside the memo, whose
-    columns hold every prime up to P).  Terms with
-    the same character share its product, so they cancel exactly."""
+    the terms (complex), per row of ±1 int8 sign columns on the given
+    primes.  The products are given by character (the memo's), or else
+    computed over these rows by _euler_products (a pinned or twisted
+    sample, or a row of characters outside the memo, whose columns hold
+    every prime up to P).  Terms with the same character share its
+    product, so they cancel exactly."""
     if products is None:
         chis = tuple(dict.fromkeys(t.chi for t in terms))
         computed = _euler_products(chis, primes, prime_cutoff, len(signs), lambda a, b: signs[a:b])
         products = dict(zip(chis, computed))
     total = np.zeros(len(signs), dtype=complex)
     for t in terms:
-        # X_d is the product of X_p over the primes p that divide d to an odd power
-        rest, odd_primes = t.dilation, []
+        # X_d is the product of the columns of d's prime factors, counted
+        # with multiplicity: exact on ±1 rows, where X_p^2 = 1
+        rest, factors = t.dilation, []
         for i in np.flatnonzero(t.dilation % primes == 0).tolist():
             p = int(primes[i])
-            while rest % (p * p) == 0:
-                rest //= p * p
-            if rest % p == 0:
+            while rest % p == 0:
                 rest //= p
-                odd_primes.append(i)
+                factors.append(i)
         if rest != 1:
             raise ValueError(f"dilation {t.dilation} has a prime factor outside the sign columns")
-        x_d = np.prod(signs[:, odd_primes], axis=1, dtype=float)
+        x_d = np.prod(signs[:, factors], axis=1, dtype=float)
         total += t.coeff / t.dilation * x_d * products[t.chi]
     return total
 
@@ -348,18 +347,20 @@ def _euler_products(
     P = 1000, 26 at 10^4), so one block's float64 copy of _BLOCK_BYTES is
     made at a time.
 
-    As X_p = ±1, -log(1 - c X_p / p) = e_p + X_p o_p with e_p and o_p its
-    even and odd parts in X_p, so each character's log-product is
-    sum_p e_p + signs @ o: one real matmul per block for all the characters,
-    complex ones with an imaginary column as well, then exp.
+    With c = chi(p) / p and X_p = ±1, -log(1 - c X_p) = e_p + X_p o_p with
+    the odd part o_p = artanh(c) and the even part e_p = -log(1 - c^2) / 2,
+    which is real: c is real or imaginary, as chi(p) is 0, ±1 or ±i.  So
+    each character's log-product is sum_p e_p + signs @ o: one real matmul
+    per block for all the characters, complex ones with an imaginary
+    column as well, then exp.
     """
     c = np.array([chi.on(primes) for chi in chis], dtype=complex).reshape(len(chis), len(primes))
     c *= (primes <= prime_cutoff) / primes
-    up, down = -np.log1p(-c), -np.log1p(c)  # at X_p = +1 and at X_p = -1
-    even_sums, odd = ((up + down) / 2).sum(axis=1), (up - down) / 2
+    even_sums = -np.log1p(-(c * c).real).sum(axis=1) / 2
+    odd = np.arctanh(c)
     imag = [j for j in range(len(chis)) if c[j].imag.any()]
     columns = np.concatenate([odd.real, odd[imag].imag]).T
-    del c, up, down, odd  # characters × primes each, as complex
+    del c, odd  # characters × primes each, as complex
     logs = np.empty((samples, columns.shape[1]))
     R = max(1, _BLOCK_BYTES // (8 * len(primes)))
     for r in range(0, samples, R):
@@ -367,9 +368,9 @@ def _euler_products(
         logs[r:stop] = rows(r, stop) @ columns
     products = []
     for j in range(len(chis)):
-        log = even_sums[j].real + logs[:, j]
+        log = even_sums[j] + logs[:, j]
         if j in imag:
-            log = log + 1j * (even_sums[j].imag + logs[:, len(chis) + imag.index(j)])
+            log = log + 1j * logs[:, len(chis) + imag.index(j)]
         products.append(np.exp(log))
     return products
 

@@ -68,6 +68,12 @@ def test_sieve_rejects_tiny_limit():
         sieve_primes(1)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_first_primes_rejects_a_count_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        first_primes(n)
+
+
 def test_nth_prime():
     assert first_primes(1)[-1] == 2
     assert first_primes(25)[-1] == 97

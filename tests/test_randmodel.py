@@ -152,6 +152,17 @@ def test_coefficients_repeat_one_period(alpha, parity):
     assert np.max(np.abs(full - wave)) <= 1e-15
 
 
+@pytest.mark.parametrize("call,args,message", [
+    (CoefficientSpec, ("both", Fraction(1, 3)), "parity must be 'plus' or 'minus', got 'both'"),
+    (rm.fourier_partial, (Fraction(1, 3), 7, 0), "M must be >= 1"),
+    (rm.fourier_partial, (Fraction(1, 3), 2, 10), "fourier_partial needs an odd prime, got 2"),
+    (rm.fourier_partial, (Fraction(1, 3), 9, 10), "fourier_partial needs an odd prime, got 9"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_bad_arguments_raise_with_their_message(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
+
+
 @pytest.mark.parametrize("alpha,parity", SUPPORTED)
 def test_derived_row_matches_the_hand_row(alpha, parity):
     # 1/6 minus and 1/12, 5/12 minus differ in shape from the hand rows
@@ -680,6 +691,17 @@ def test_euler_memo_peak_at_cutoff_10_4_stays_below_2_mib():
     d = decompose_rational(Fraction(1, 5), "plus")
     rm._euler_memo.cache_clear()
     assert _traced_peak(lambda: rm.euler_values_matrix(d, 1000, 0, 10**4)) < 2 * 2**20
+
+
+def test_euler_memo_peak_at_cutoff_10_6_stays_below_64_mib():
+    # the odd parts are artanh(c) and the even ones real; the complex
+    # log1p tables at X_p = +1 and -1 and their halves peaked at 85.05 MiB
+    d = decompose_rational(Fraction(1, 5), "plus")
+    rm._euler_memo.cache_clear()
+    try:
+        assert _traced_peak(lambda: rm.euler_values_matrix(d, 100, 0, 10**6)) <= 64 * 2**20
+    finally:
+        rm._euler_memo.cache_clear()  # no 10^6-prime memo stays cached
 
 
 #: block budgets of 4 rows a product block in the series sums (one row in

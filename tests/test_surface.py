@@ -155,3 +155,42 @@ def test_every_exception_class_of_the_package_is_caught_by_the_program():
         and cls.name not in caught
     ]
     assert not defined, "an exception class no except clause names:\n" + "\n".join(defined)
+
+
+def _nested_functions(tree):
+    """The functions and lambdas defined inside another function."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    stack = [(node, False) for node in tree.body]
+    while stack:
+        node, inside = stack.pop()
+        if inside and isinstance(node, functions):
+            yield node
+        stack.extend((child, inside or isinstance(node, functions))
+                     for child in ast.iter_child_nodes(node))
+
+
+def _root(node) -> str | None:
+    """The name a subscript or attribute chain such as a.b[i] starts from."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return getattr(node, "id", None)
+
+
+def test_no_nested_function_writes_into_a_name_it_does_not_bind():
+    # a nested function or lambda that assigns into an enclosing object is
+    # a side channel: whoever calls it changes that object without seeing it
+    writes = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in _nested_functions(ast.parse(path.read_text())):
+            args = func.args
+            body = list(ast.walk(func))
+            bound = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                         args.vararg, args.kwarg) if arg}
+            bound |= {node.id for node in body
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            bound -= {name for node in body
+                      if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+            writes += [f"{path.relative_to(ROOT)}:{node.lineno} {_root(node)}" for node in body
+                       if isinstance(node, (ast.Subscript, ast.Attribute))
+                       and isinstance(node.ctx, ast.Store) and _root(node) not in bound]
+    assert not writes, "a nested function writes into a name it does not bind:\n" + "\n".join(writes)

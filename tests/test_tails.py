@@ -42,6 +42,22 @@ def test_negativity_bound_domain():
         negativity_bound(0.395, -0.1, 0.5)
 
 
+@pytest.mark.parametrize("call,args,message", [
+    (negativity_bound, (0.0, 0.01, 0.5), "sigma2 must be positive"),
+    (negativity_bound, (-0.395, 0.01, 0.5), "sigma2 must be positive"),
+    (optimize_u, (0.0, 0.01), "sigma2 must be positive"),
+    (optimize_u, (0.395, -0.01), "D must be nonnegative"),
+    (sigma2_one_third, (99,), "prime_cutoff must be >= 100"),
+    (distance_bound, (0.0, 1, 1), "L, C must be positive and delta nonnegative"),
+    (distance_bound, (1, -1, 1), "L, C must be positive and delta nonnegative"),
+    (distance_bound, (1, 1, -1e-9), "L, C must be positive and delta nonnegative"),
+    (certify_neighborhood, (1 / 3, "x"), "constants must be 'printed' or 'recomputed', got 'x'"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_bad_arguments_raise_with_their_message(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
+
+
 def test_negativity_bound_vanishes_with_D_and_u():
     # with D = 0 the bound is exp(-ln^2 u / (8 sigma2)) -> 0 as u -> 0
     assert negativity_bound(0.395, 0.0, 1e-12) < 1e-40
